@@ -730,11 +730,10 @@ let wall f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
-(* One baseline simulation of [name], timed, with either the flat hook
-   calling convention or the legacy per-event allocation, on either
-   execution backend. Same program, same pipeline model — the delta is the
-   execution hot path alone. *)
-let timed_interp_run ?backend ~flat name =
+(* One baseline simulation of [name], timed, on either execution backend.
+   Same program, same pipeline model — the delta is the execution hot path
+   alone. *)
+let timed_interp_run ?backend name =
   let _, make = Option.get (W.Registry.find name) in
   let instance = make Workload.Eval in
   let hierarchy = Hierarchy.(create hpi_default) in
@@ -742,14 +741,8 @@ let timed_interp_run ?backend ~flat name =
     Axmemo_cpu.Pipeline.create ~program:instance.program ~hierarchy ()
   in
   let interp =
-    if flat then
-      Axmemo_ir.Interp.create ?backend
-        ~hooks:(Axmemo_cpu.Pipeline.hooks pipe)
-        ~program:instance.program ~mem:instance.mem ()
-    else
-      Axmemo_ir.Interp.create ?backend
-        ~hook:(Axmemo_cpu.Pipeline.hook pipe)
-        ~program:instance.program ~mem:instance.mem ()
+    Axmemo_ir.Interp.create ?backend ~hooks:(Axmemo_cpu.Pipeline.hooks pipe)
+      ~program:instance.program ~mem:instance.mem ()
   in
   let (), dt = wall (fun () -> ignore (Interp.run interp instance.entry instance.args)) in
   (dt, Interp.steps interp)
@@ -787,14 +780,9 @@ let perf_smoke () =
     List.fold_left (fun acc (r : Runner.result) -> acc + r.dyn_normal + r.dyn_memo) 0 serial
   in
   let best f = List.fold_left (fun acc () -> min acc (f ())) infinity [ (); (); () ] in
-  let t_event =
-    best (fun () -> fst (timed_interp_run ~backend:`Interp ~flat:false "blackscholes"))
-  in
-  let t_flat =
-    best (fun () -> fst (timed_interp_run ~backend:`Interp ~flat:true "blackscholes"))
-  in
+  let t_flat = best (fun () -> fst (timed_interp_run ~backend:`Interp "blackscholes")) in
   let t_closure =
-    best (fun () -> fst (timed_interp_run ~backend:`Compiled ~flat:true "blackscholes"))
+    best (fun () -> fst (timed_interp_run ~backend:`Compiled "blackscholes"))
   in
   let throughput = float_of_int dyn /. t_serial /. 1e6 in
   let speedup = t_serial /. t_par in
@@ -815,8 +803,8 @@ let perf_smoke () =
   Printf.printf "bit-identical    %b serial/parallel, %b interp/compiled\n" identical
     backend_identical;
   Printf.printf
-    "1-thread bs     %.3f s event-hook, %.3f s flat-hook, %.3f s compiled => %.2fx\n"
-    t_event t_flat t_closure (t_flat /. t_closure);
+    "1-thread bs     %.3f s flat-hook, %.3f s compiled => %.2fx\n"
+    t_flat t_closure (t_flat /. t_closure);
   let cell_benchmarks =
     List.concat_map (fun n -> List.map (fun _ -> n) smoke_configs) smoke_names
   in
@@ -923,10 +911,8 @@ let perf_smoke () =
       ("telemetry_identical", Json.Bool telem_identical);
       ("dynamic_instructions", Json.Int dyn);
       ("serial_minstr_per_sec", Json.Float throughput);
-      ("hook_event_seconds", Json.Float t_event);
       ("hook_flat_seconds", Json.Float t_flat);
       ("compiled_1t_seconds", Json.Float t_closure);
-      ("interp_fastpath_speedup", Json.Float (t_event /. t_flat));
       ("compiled_1t_speedup", Json.Float (t_flat /. t_closure));
     ]
   in

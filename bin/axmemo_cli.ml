@@ -1515,7 +1515,9 @@ let check_cmd =
     let text = really_input_string ic n in
     close_in ic;
     match Axmemo_ir.Parser.parse_program text with
-    | Error e -> Format.printf "error: %a@." Axmemo_ir.Parser.pp_error e
+    | Error e ->
+        Format.eprintf "error: %a@." Axmemo_ir.Parser.pp_error e;
+        exit 1
     | Ok p ->
         Printf.printf "%s: ok — %d function(s), %d static instruction(s)\n" file
           (Array.length p.funcs) (Axmemo_ir.Ir.static_count p)

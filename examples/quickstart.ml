@@ -59,7 +59,7 @@ let () =
   let simulate program mem memo lookup_level =
     let hierarchy = Hierarchy.(create hpi_default) in
     let pipe = Pipeline.create ?lookup_level ~program ~hierarchy () in
-    let t = Interp.create ?memo ~hook:(Pipeline.hook pipe) ~program ~mem () in
+    let t = Interp.create ?memo ~hooks:(Pipeline.hooks pipe) ~program ~mem () in
     (t, pipe)
   in
   (* Baseline run. *)

@@ -730,30 +730,12 @@ let ratio num den = if den = 0 then 0.0 else float_of_int num /. float_of_int de
    a home write and their directory drop land here too). DRAM tiers are
    excluded — their relaxed cells are approximate by contract. *)
 let coherence_check t =
-  let tbl : (int * int64, int64 list) Hashtbl.t = Hashtbl.create 1024 in
-  let add entries =
-    List.iter
-      (fun (lut_id, key, payload) ->
-        let k = (lut_id, key) in
-        let prev = Option.value ~default:[] (Hashtbl.find_opt tbl k) in
-        Hashtbl.replace tbl k (payload :: prev))
-      entries
-  in
-  Array.iter
-    (fun nd ->
-      for c = 0 to t.npc - 1 do
-        add (Memo_unit.lut_entries (Corun.core_unit nd ~core:c))
-      done;
-      add (Shared_lut.entries (Corun.shared_lut nd)))
-    t.nodes;
-  Hashtbl.fold
-    (fun _k payloads (keys, divergent) ->
-      match payloads with
-      | [] | [ _ ] -> (keys, divergent)
-      | p :: rest ->
-          ( keys + 1,
-            if List.for_all (fun q -> q = p) rest then divergent else divergent + 1 ))
-    tbl (0, 0)
+  Corun.coherence
+    (List.concat_map
+       (fun nd ->
+         List.init t.npc (fun c -> Memo_unit.lut_entries (Corun.core_unit nd ~core:c))
+         @ [ Shared_lut.entries (Corun.shared_lut nd) ])
+       (Array.to_list t.nodes))
 
 let run_keep ?(metrics = false) ?(profile = false) (cfg : config) =
   let t = create ~metrics ~profile cfg in

@@ -119,9 +119,11 @@ let speedup ~baseline other =
 let energy_saving ~baseline other =
   guarded_ratio baseline.energy.Model.total_pj other.energy.Model.total_pj
 
-(* Block-label based hit counting for the software schemes. Returns a flat
-   [fname bidx iidx] callback for composition into an [Interp.hooks]
-   observer. *)
+let hit_ratio ~hits ~lookups =
+  if lookups = 0 then 0.0 else float_of_int hits /. float_of_int lookups
+
+(* Block-label based hit counting for the software schemes: an observer to
+   compose into the run's hooks, and a reader of (lookups, hits). *)
 let sw_hit_counter program =
   let hit_sites = Hashtbl.create 64 and miss_sites = Hashtbl.create 64 in
   Array.iter
@@ -136,65 +138,155 @@ let sw_hit_counter program =
         f.blocks)
     (program : Ir.program).funcs;
   let hits = ref 0 and misses = ref 0 in
-  let on_exec fname bidx iidx =
+  let on_exec fname bidx iidx _instr _addr =
     if iidx = 0 then
       if Hashtbl.mem hit_sites (fname, bidx) then incr hits
       else if Hashtbl.mem miss_sites (fname, bidx) then incr misses
   in
-  (on_exec, hits, misses)
-
-let finish ?(protection_pj = 0.0) ?trip_lookup ?faults ?crashed ~label ~pipeline_stats
-    ~hierarchy ~memo_stats ~l1_lut_bytes ~lookups ~hits ~collisions ~memo_disabled
-    ~outputs ~machine () =
-  let energy =
-    Model.of_run ~protection_pj ~pipeline:pipeline_stats ~hierarchy ~memo:memo_stats
-      ~l1_lut_bytes ()
-  in
-  {
-    label;
-    cycles = pipeline_stats.Pipeline.cycles;
-    seconds =
-      float_of_int pipeline_stats.Pipeline.cycles
-      /. (machine.Axmemo_cpu.Machine.freq_ghz *. 1e9);
-    (* host wall time is stamped by [run_impl] around the whole simulation *)
-    sim_wall_seconds = 0.0;
-    dyn_normal = pipeline_stats.Pipeline.dyn_normal;
-    dyn_memo = pipeline_stats.Pipeline.dyn_memo;
-    pipeline = pipeline_stats;
-    energy;
-    lookups;
-    hits;
-    hit_rate = (if lookups = 0 then 0.0 else float_of_int hits /. float_of_int lookups);
-    collisions;
-    memo_disabled;
-    trip_lookup;
-    faults;
-    crashed;
-    outputs;
-  }
+  ({ Interp.no_hooks with on_exec }, fun () -> (!hits + !misses, !hits))
 
 let machine = Axmemo_cpu.Machine.hpi
 
-(* Function-activation spans plus optional per-exec instants, fanned out
-   after the pipeline's own hooks so the tracer clock reads post-charge
-   cycle counts. *)
-let trace_hooks tr ~instant_of_exec : Interp.hooks =
+(* ---- one request on one core -------------------------------------------
+
+   Every engine simulates a request the same way: a pipeline wired to the
+   core's memo unit (when it has one), the program executed under the DUE
+   policy, and one [result] assembled from the statistics. Runner's
+   configurations and the co-run's per-core requests differ only in what
+   they hand [execute]. *)
+
+type memo = {
+  unit : Memo_unit.t;
+  hooks : Interp.memo_hooks;
+  l1_lut_bytes : int;
+  l2_lut_present : bool;
+  crc_bytes_per_cycle : int;
+  crashes : bool;
+  l3_rows : unit -> int * int;
+}
+
+(* The level that serviced the most recent lookup: the pipeline's lookup
+   charge and the tracer's LUT instants both read it. *)
+let lookup_level unit () =
+  match Memo_unit.last_lookup_level unit with
+  | Memo_unit.Hit_l1 -> `L1
+  | Memo_unit.Hit_l2 -> `L2
+  | Memo_unit.Hit_l3 -> `L3
+  | Memo_unit.Miss -> `Miss
+
+let stats_delta (a : Memo_unit.stats) (b : Memo_unit.stats) : Memo_unit.stats =
   {
-    Interp.on_enter = (fun fname -> Tracer.begin_span tr fname);
-    on_leave = (fun fname -> Tracer.end_span tr fname);
-    on_exec = instant_of_exec;
-    on_term = (fun _ _ _ -> ());
-    exec_site = None;
-    term_site = None;
+    sends = b.sends - a.sends;
+    bytes_hashed = b.bytes_hashed - a.bytes_hashed;
+    lookups = b.lookups - a.lookups;
+    l1_hits = b.l1_hits - a.l1_hits;
+    l2_hits = b.l2_hits - a.l2_hits;
+    l3_hits = b.l3_hits - a.l3_hits;
+    misses = b.misses - a.misses;
+    forced_misses = b.forced_misses - a.forced_misses;
+    updates = b.updates - a.updates;
+    invalidations = b.invalidations - a.invalidations;
+    collisions = b.collisions - a.collisions;
+    monitor_comparisons = b.monitor_comparisons - a.monitor_comparisons;
   }
 
-let no_instants _fname _bidx _iidx _instr _addr = ()
+let execute ~label ~wall_start ~metrics ~profile ~backend ~memo ~observe ~program
+    ~hierarchy (instance : Workload.instance) =
+  let pipe =
+    Pipeline.create ?metrics ?profile ~machine
+      ?lookup_level:(Option.map (fun m -> lookup_level m.unit) memo)
+      ?l2_lut_present:(Option.map (fun m -> m.l2_lut_present) memo)
+      ?l3_lookup_cycles:(Option.map (fun m () -> Memo_unit.last_l3_cycles m.unit) memo)
+      ?l1_lut_ways:(Option.map (fun m -> Memo_unit.l1_ways m.unit) memo)
+      ?crc_bytes_per_cycle:(Option.map (fun m -> m.crc_bytes_per_cycle) memo)
+      ~program ~hierarchy ()
+  in
+  (* Observers run after the pipeline's own hooks, so a clock they read
+     shows post-charge cycle counts. *)
+  let hooks = Interp.combine_hooks (Pipeline.hooks pipe) (observe pipe) in
+  (* A unit may outlive the request (a co-run core's), so the request is
+     billed the change in its counters. *)
+  let before = Option.map (fun m -> (Memo_unit.stats m.unit, m.l3_rows ())) memo in
+  let interp =
+    Interp.create ?memo:(Option.map (fun m -> m.hooks) memo) ~hooks ?backend ~program
+      ~mem:instance.mem ()
+  in
+  let run () =
+    ignore (Interp.run interp instance.entry instance.args);
+    None
+  in
+  let crashed =
+    match memo with
+    | Some { crashes = true; _ } -> (
+        (* An injected fault can steer the simulated program into failure —
+           e.g. a corrupted payload used in address arithmetic exhausts the
+           memory model. In SEU terms that is a crash (DUE) outcome of the
+           campaign, not a harness error: record it and keep every statistic
+           gathered up to the crash. Outputs read back whatever was written
+           before the failure (the buffers are pre-allocated). *)
+        try run () with e -> Some (Printexc.to_string e))
+    | Some { crashes = false; _ } | None -> run ()
+  in
+  Pipeline.profile_close pipe;
+  (* [metrics] is the run's own registry: every model of the run mirrors its
+     counters into it once, when the run ends. *)
+  if Option.is_some metrics then begin
+    Option.iter (fun m -> Memo_unit.flush_metrics m.unit) memo;
+    Pipeline.flush_metrics pipe;
+    Hierarchy.flush_metrics hierarchy
+  end;
+  let ms, (l3_row_hits, l3_activations) =
+    match (memo, before) with
+    | Some m, Some (s0, (h0, a0)) ->
+        let h, a = m.l3_rows () in
+        (Some (stats_delta s0 (Memo_unit.stats m.unit)), (h - h0, a - a0))
+    | _ -> (None, (0, 0))
+  in
+  let injector = Option.bind memo (fun m -> Memo_unit.injector m.unit) in
+  let faults = Option.map Injector.stats injector in
+  let protection_pj =
+    match (injector, faults, ms) with
+    | Some inj, Some (s : Injector.stats), Some (ms : Memo_unit.stats) ->
+        Protection.energy_pj (Injector.protection inj) ~lookups:ms.lookups
+          ~updates:ms.updates ~corrections:s.secded_corrected
+    | _ -> 0.0
+  in
+  let lookups, hits, collisions =
+    match ms with
+    | Some ms -> (ms.lookups, ms.l1_hits + ms.l2_hits + ms.l3_hits, ms.collisions)
+    | None -> (0, 0, 0)
+  in
+  let pipeline = Pipeline.stats pipe in
+  {
+    label;
+    cycles = pipeline.cycles;
+    seconds = float_of_int pipeline.cycles /. (machine.Axmemo_cpu.Machine.freq_ghz *. 1e9);
+    sim_wall_seconds = Unix.gettimeofday () -. wall_start;
+    dyn_normal = pipeline.dyn_normal;
+    dyn_memo = pipeline.dyn_memo;
+    pipeline;
+    energy =
+      Model.of_run ~protection_pj ~l3_row_hits ~l3_activations ~pipeline ~hierarchy
+        ~memo:ms
+        ~l1_lut_bytes:(match memo with Some m -> m.l1_lut_bytes | None -> kb 8)
+        ();
+    lookups;
+    hits;
+    hit_rate = hit_ratio ~hits ~lookups;
+    collisions;
+    memo_disabled = (match memo with Some m -> Memo_unit.disabled m.unit | None -> false);
+    trip_lookup = Option.bind memo (fun m -> Memo_unit.trip_lookup m.unit);
+    faults;
+    crashed;
+    outputs = instance.read_outputs ();
+  }
 
-(* Shared hardware-memoization path: Hw_memo and Hw_custom differ only in how
-   the unit configuration is assembled. *)
-let run_hw ?metrics ?profile ?(trace = false) ?backend ~label
-    ~(unit_cfg : Memo_unit.config) ~approximate ~total_l2 ~crc_bytes_per_cycle
-    (instance : Workload.instance) =
+(* ---- the evaluated systems --------------------------------------------- *)
+
+(* Hw_memo and Hw_custom differ only in how the unit configuration is
+   assembled. *)
+let prepare_hw ?metrics ?profile ~(unit_cfg : Memo_unit.config) ~approximate ~total_l2
+    ~crc_bytes_per_cycle (instance : Workload.instance) =
   let regions =
     if approximate then instance.regions
     else List.map Transform.zero_truncs instance.regions
@@ -222,141 +314,24 @@ let run_hw ?metrics ?profile ?(trace = false) ?backend ~label
       unit_cfg
       (Transform.lut_decls instance.program regions)
   in
-  let lookup_level () =
-    match Memo_unit.last_lookup_level unit with
-    | Memo_unit.Hit_l1 -> `L1
-    | Memo_unit.Hit_l2 -> `L2
-    | Memo_unit.Hit_l3 -> `L3
-    | Memo_unit.Miss -> `Miss
-  in
-  let pipe =
-    Pipeline.create ?metrics
-      ?profile:(Option.map Profile.pipeline_profile profile)
-      ~machine ~lookup_level ~l2_lut_present:(unit_cfg.l2_bytes <> None)
-      ~l1_lut_ways:(Memo_unit.l1_ways unit) ~crc_bytes_per_cycle ~program ~hierarchy ()
-  in
-  (* Per-cycle fault rates integrate over the pipeline's simulated clock. *)
-  (match Memo_unit.injector unit with
-  | Some inj -> Injector.set_clock inj (fun () -> Pipeline.cycles pipe)
-  | None -> ());
-  let tracer =
-    if trace then Some (Tracer.create ~clock:(fun () -> Pipeline.cycles pipe) ())
-    else None
-  in
-  (match tracer with
-  | Some tr ->
-      Tracer.name_process tr ~pid:0
-        (Printf.sprintf "axmemo %s (1 cycle = 1 us)" label);
-      Tracer.name_thread tr ~tid:0 "cpu"
-  | None -> ());
-  (match (tracer, Memo_unit.injector unit) with
-  | Some tr, Some inj ->
-      (* Fault instants land on the same cycle clock as the LUT events, so
-         a trace view correlates upsets with the misses they cause. *)
-      Injector.set_on_fault inj (fun site ->
-          Tracer.instant tr ("fault_" ^ Fault_model.site_name site))
-  | _ -> ());
-  let hooks =
-    match tracer with
-    | None -> Pipeline.hooks pipe
-    | Some tr ->
-        (* The lookup's memo hook has already run when [on_exec] fires, so
-           [last_lookup_level] names the level that serviced it. *)
-        let lut_instant _fname _bidx _iidx (instr : Ir.instr) _addr =
-          match instr with
-          | Ir.Memo (Ir.Lookup _) -> (
-              match Memo_unit.last_lookup_level unit with
-              | Memo_unit.Hit_l1 -> Tracer.instant tr "lut_hit_l1"
-              | Memo_unit.Hit_l2 -> Tracer.instant tr "lut_hit_l2"
-              | Memo_unit.Hit_l3 -> Tracer.instant tr "lut_hit_l3"
-              | Memo_unit.Miss -> Tracer.instant tr "lut_miss")
-          | Ir.Memo (Ir.Invalidate _) -> Tracer.instant tr "lut_invalidate"
-          | _ -> ()
-        in
-        Interp.combine_hooks (Pipeline.hooks pipe)
-          (trace_hooks tr ~instant_of_exec:lut_instant)
-  in
-  let interp =
-    Interp.create ~memo:(Memo_unit.hooks unit) ~hooks ?backend ~program
-      ~mem:instance.mem ()
-  in
-  let crashed =
-    match Memo_unit.injector unit with
-    | None ->
-        ignore (Interp.run interp instance.entry instance.args);
-        None
-    | Some _ -> (
-        (* An injected fault can steer the simulated program into failure —
-           e.g. a corrupted payload used in address arithmetic exhausts the
-           memory model. In SEU terms that is a crash (DUE) outcome of the
-           campaign, not a harness error: record it and keep every statistic
-           gathered up to the crash. Outputs read back whatever was written
-           before the failure (the buffers are pre-allocated). *)
-        try
-          ignore (Interp.run interp instance.entry instance.args);
-          None
-        with e -> Some (Printexc.to_string e))
-  in
-  Pipeline.profile_close pipe;
-  Memo_unit.flush_metrics unit;
-  Pipeline.flush_metrics pipe;
-  Hierarchy.flush_metrics hierarchy;
-  let ms = Memo_unit.stats unit in
-  let fstats = Option.map Injector.stats (Memo_unit.injector unit) in
-  let protection_pj =
-    match (Memo_unit.injector unit, fstats) with
-    | Some inj, Some (s : Injector.stats) ->
-        Protection.energy_pj (Injector.protection inj) ~lookups:ms.lookups
-          ~updates:ms.updates ~corrections:s.secded_corrected
-    | _ -> 0.0
-  in
-  ( finish ~protection_pj ?trip_lookup:(Memo_unit.trip_lookup unit) ?faults:fstats
-      ?crashed ~label
-      ~pipeline_stats:(Pipeline.stats pipe) ~hierarchy ~memo_stats:(Some ms)
-      ~l1_lut_bytes:unit_cfg.l1_bytes ~lookups:ms.lookups ~hits:(ms.l1_hits + ms.l2_hits)
-      ~collisions:ms.collisions ~memo_disabled:(Memo_unit.disabled unit)
-      ~outputs:(instance.read_outputs ()) ~machine (),
-    tracer )
+  ( program,
+    hierarchy,
+    Some
+      {
+        unit;
+        hooks = Memo_unit.hooks unit;
+        l1_lut_bytes = unit_cfg.l1_bytes;
+        l2_lut_present = unit_cfg.l2_bytes <> None;
+        crc_bytes_per_cycle;
+        crashes = Memo_unit.injector unit <> None;
+        l3_rows = (fun () -> (0, 0));
+      } )
 
-let run_impl_untimed ?metrics ?profile ?(trace = false) ?backend config
-    (instance : Workload.instance) =
-  let label = config_label config in
+(* What a configuration runs: its program, the core's data caches and, for
+   the hardware systems, the memo unit. *)
+let prepare ?metrics ?profile config (instance : Workload.instance) =
   match config with
-  | Baseline ->
-      let hierarchy = Hierarchy.create ?metrics Hierarchy.hpi_default in
-      let pipe =
-        Pipeline.create ?metrics
-          ?profile:(Option.map Profile.pipeline_profile profile)
-          ~machine ~program:instance.program ~hierarchy ()
-      in
-      let tracer =
-        if trace then Some (Tracer.create ~clock:(fun () -> Pipeline.cycles pipe) ())
-        else None
-      in
-      (match tracer with
-      | Some tr ->
-          Tracer.name_process tr ~pid:0
-            (Printf.sprintf "axmemo %s (1 cycle = 1 us)" label);
-          Tracer.name_thread tr ~tid:0 "cpu"
-      | None -> ());
-      let hooks =
-        match tracer with
-        | None -> Pipeline.hooks pipe
-        | Some tr ->
-            Interp.combine_hooks (Pipeline.hooks pipe)
-              (trace_hooks tr ~instant_of_exec:no_instants)
-      in
-      let interp =
-        Interp.create ~hooks ?backend ~program:instance.program ~mem:instance.mem ()
-      in
-      ignore (Interp.run interp instance.entry instance.args);
-      Pipeline.profile_close pipe;
-      Pipeline.flush_metrics pipe;
-      Hierarchy.flush_metrics hierarchy;
-      ( finish ~label ~pipeline_stats:(Pipeline.stats pipe) ~hierarchy ~memo_stats:None
-          ~l1_lut_bytes:(kb 8) ~lookups:0 ~hits:0 ~collisions:0 ~memo_disabled:false
-          ~outputs:(instance.read_outputs ()) ~machine (),
-        tracer )
+  | Baseline -> (instance.program, Hierarchy.create ?metrics Hierarchy.hpi_default, None)
   | Hw_memo { l1_bytes; l2_bytes; approximate; monitor; total_l2; adaptive } ->
       let unit_cfg =
         {
@@ -367,11 +342,11 @@ let run_impl_untimed ?metrics ?profile ?(trace = false) ?backend config
           adaptive = (if adaptive then Some Memo_unit.default_adaptive else None);
         }
       in
-      run_hw ?metrics ?profile ~trace ?backend ~label ~unit_cfg ~approximate ~total_l2
+      prepare_hw ?metrics ?profile ~unit_cfg ~approximate ~total_l2
         ~crc_bytes_per_cycle:Axmemo_isa.Timing.crc_bytes_per_cycle instance
-  | Hw_custom { label; unit_cfg; approximate; crc_bytes_per_cycle } ->
-      run_hw ?metrics ?profile ~trace ?backend ~label ~unit_cfg ~approximate
-        ~total_l2:None ~crc_bytes_per_cycle instance
+  | Hw_custom { unit_cfg; approximate; crc_bytes_per_cycle; _ } ->
+      prepare_hw ?metrics ?profile ~unit_cfg ~approximate ~total_l2:None
+        ~crc_bytes_per_cycle instance
   | Software { table_log2 } | Atm { table_log2 } ->
       let sw_memoize =
         match config with
@@ -383,70 +358,83 @@ let run_impl_untimed ?metrics ?profile ?(trace = false) ?backend config
         sw_memoize ~mem:instance.mem ~table_log2 ~entry:instance.entry
           ?barrier:instance.barrier instance.program instance.regions
       in
-      let hierarchy = Hierarchy.create ?metrics Hierarchy.hpi_default in
-      let pipe =
-        Pipeline.create ?metrics
-          ?profile:(Option.map Profile.pipeline_profile profile)
-          ~machine ~program ~hierarchy ()
-      in
-      let tracer =
-        if trace then Some (Tracer.create ~clock:(fun () -> Pipeline.cycles pipe) ())
-        else None
-      in
-      (match tracer with
-      | Some tr ->
-          Tracer.name_process tr ~pid:0
-            (Printf.sprintf "axmemo %s (1 cycle = 1 us)" label);
-          Tracer.name_thread tr ~tid:0 "cpu"
-      | None -> ());
-      let count_exec, hits, misses = sw_hit_counter program in
-      let ph = Pipeline.hooks pipe in
-      let hooks =
-        {
-          ph with
-          Interp.on_exec =
-            (fun fname bidx iidx instr addr ->
-              ph.Interp.on_exec fname bidx iidx instr addr;
-              count_exec fname bidx iidx);
-          (* the record update keeps the pipeline's compiled sites, which
-             would bypass the hit counter under the compiled backend — wrap
-             the site compiler the same way as the flat callback *)
-          exec_site =
-            (match ph.Interp.exec_site with
-            | None -> None
-            | Some site ->
-                Some
-                  (fun fname bidx iidx instr ->
-                    let f = site fname bidx iidx instr in
-                    fun addr ->
-                      f addr;
-                      count_exec fname bidx iidx));
-        }
-      in
-      let hooks =
-        match tracer with
-        | None -> hooks
-        | Some tr -> Interp.combine_hooks hooks (trace_hooks tr ~instant_of_exec:no_instants)
-      in
-      let interp = Interp.create ~hooks ?backend ~program ~mem:instance.mem () in
-      ignore (Interp.run interp instance.entry instance.args);
-      Pipeline.profile_close pipe;
-      Pipeline.flush_metrics pipe;
-      Hierarchy.flush_metrics hierarchy;
-      let lookups = !hits + !misses in
-      ( finish ~label ~pipeline_stats:(Pipeline.stats pipe) ~hierarchy ~memo_stats:None
-          ~l1_lut_bytes:(kb 8) ~lookups ~hits:!hits ~collisions:0 ~memo_disabled:false
-          ~outputs:(instance.read_outputs ()) ~machine (),
-        tracer )
+      (program, Hierarchy.create ?metrics Hierarchy.hpi_default, None)
 
-(* Wall time covers the full simulation of the cell (model assembly,
-   interpretation/compiled execution, metric flushes) — the throughput
-   number the perf gate watches. It is the one field excluded from the
-   bit-identity contract. *)
-let run_impl ?metrics ?profile ?trace ?backend config instance =
-  let t0 = Unix.gettimeofday () in
-  let result, tracer = run_impl_untimed ?metrics ?profile ?trace ?backend config instance in
-  ({ result with sim_wall_seconds = Unix.gettimeofday () -. t0 }, tracer)
+(* A cycle-clock trace of one run: function-activation spans, LUT hit/miss
+   instants and, with an injector attached, fault instants on the same
+   clock, so a trace view correlates upsets with the misses they cause. *)
+let start_tracer ~label ~memo pipe =
+  let tr = Tracer.create ~clock:(fun () -> Pipeline.cycles pipe) () in
+  Tracer.name_process tr ~pid:0 (Printf.sprintf "axmemo %s (1 cycle = 1 us)" label);
+  Tracer.name_thread tr ~tid:0 "cpu";
+  (match Option.bind memo (fun m -> Memo_unit.injector m.unit) with
+  | Some inj ->
+      Injector.set_on_fault inj (fun site ->
+          Tracer.instant tr ("fault_" ^ Fault_model.site_name site))
+  | None -> ());
+  (* The lookup's memo hook has already run when [on_exec] fires, so the
+     last lookup level names the level that serviced it. *)
+  let on_exec _fname _bidx _iidx (instr : Ir.instr) _addr =
+    match (instr, memo) with
+    | Ir.Memo (Ir.Lookup _), Some m ->
+        Tracer.instant tr
+          (match lookup_level m.unit () with
+          | `L1 -> "lut_hit_l1"
+          | `L2 -> "lut_hit_l2"
+          | `L3 -> "lut_hit_l3"
+          | `Miss -> "lut_miss")
+    | Ir.Memo (Ir.Invalidate _), Some _ -> Tracer.instant tr "lut_invalidate"
+    | _ -> ()
+  in
+  ( tr,
+    {
+      Interp.no_hooks with
+      on_enter = (fun fname -> Tracer.begin_span tr fname);
+      on_leave = (fun fname -> Tracer.end_span tr fname);
+      on_exec;
+    } )
+
+let run_impl ?metrics ?profile ?(trace = false) ?backend config
+    (instance : Workload.instance) =
+  (* Wall time covers the full simulation of the cell (model assembly,
+     execution, metric flushes) — the throughput number the perf gate
+     watches, and the one field excluded from the bit-identity contract. *)
+  let wall_start = Unix.gettimeofday () in
+  let label = config_label config in
+  let program, hierarchy, memo = prepare ?metrics ?profile config instance in
+  let counter =
+    match config with
+    | Software _ | Atm _ -> Some (sw_hit_counter program)
+    | Baseline | Hw_memo _ | Hw_custom _ -> None
+  in
+  let tracer = ref None in
+  let observe pipe =
+    (* Per-cycle fault rates integrate over the pipeline's simulated clock. *)
+    (match Option.bind memo (fun m -> Memo_unit.injector m.unit) with
+    | Some inj -> Injector.set_clock inj (fun () -> Pipeline.cycles pipe)
+    | None -> ());
+    let traced =
+      if trace then begin
+        let tr, hooks = start_tracer ~label ~memo pipe in
+        tracer := Some tr;
+        hooks
+      end
+      else Interp.no_hooks
+    in
+    match counter with
+    | Some (count, _) -> Interp.combine_hooks count traced
+    | None -> traced
+  in
+  let result =
+    execute ~label ~wall_start ~metrics
+      ~profile:(Option.map Profile.pipeline_profile profile)
+      ~backend ~memo ~observe ~program ~hierarchy instance
+  in
+  match counter with
+  | None -> (result, !tracer)
+  | Some (_, counts) ->
+      let lookups, hits = counts () in
+      ({ result with lookups; hits; hit_rate = hit_ratio ~hits ~lookups }, !tracer)
 
 let run ?profile ?backend config instance =
   fst (run_impl ?profile ?backend config instance)

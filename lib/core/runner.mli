@@ -116,6 +116,47 @@ val run_telemetry :
     LUT hit/miss instants. Telemetry is observational only: the [result] is
     bit-identical to {!run} on a fresh instance. *)
 
+(** {1 One request on one core}
+
+    The single execution path behind {!run} and the co-run engine's
+    per-request step. *)
+
+type memo = {
+  unit : Axmemo_memo.Memo_unit.t;
+      (** may outlive the request (a co-run core's); the result bills only
+          the change in its counters *)
+  hooks : Axmemo_ir.Interp.memo_hooks;  (** the unit's, or a wrapper *)
+  l1_lut_bytes : int;  (** the L1 LUT size the energy model prices *)
+  l2_lut_present : bool;  (** an L2 LUT, private or shared, backs the L1 *)
+  crc_bytes_per_cycle : int;
+  crashes : bool;
+      (** an injector strikes the LUTs: an exception of the simulated
+          program becomes [crashed] (a DUE outcome) instead of propagating *)
+  l3_rows : unit -> int * int;
+      (** cumulative DRAM-tier (row hits, activations); billed by change *)
+}
+(** How a memo unit drives one request. *)
+
+val execute :
+  label:string ->
+  wall_start:float ->
+  metrics:Axmemo_telemetry.Registry.t option ->
+  profile:Axmemo_cpu.Pipeline.profile option ->
+  backend:Axmemo_ir.Interp.backend option ->
+  memo:memo option ->
+  observe:(Axmemo_cpu.Pipeline.t -> Axmemo_ir.Interp.hooks) ->
+  program:Axmemo_ir.Ir.program ->
+  hierarchy:Axmemo_cache.Hierarchy.t ->
+  Axmemo_workloads.Workload.instance ->
+  result
+(** [execute ~program ~hierarchy instance] runs [instance]'s entry point
+    on a pipeline over [hierarchy] (wired to [memo]'s unit when given),
+    profile-closes the pipeline and assembles the [result], timed from
+    [wall_start]. [observe] gets the pipeline before the run and returns
+    hooks fanned out after its own. [metrics] is the run's own registry:
+    the pipeline registers in it, and every model flushes when the run
+    ends. *)
+
 val run_matrix :
   ?jobs:int ->
   ?backend:Axmemo_ir.Interp.backend ->

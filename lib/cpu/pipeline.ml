@@ -903,15 +903,6 @@ let profile_close t =
         p.p_last <- c
       end
 
-(* Event-based convenience form, kept for observers that want a reified
-   event stream; allocates one event per callback upstream. *)
-let hook t (ev : Interp.event) =
-  match ev with
-  | Enter { fname } -> on_enter t fname
-  | Leave { fname } -> on_leave t fname
-  | Exec { instr; addr; _ } -> exec_instr t instr addr
-  | Term { term; _ } -> exec_term t term
-
 let stats t =
   {
     cycles = cycles t;

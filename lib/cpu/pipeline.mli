@@ -1,6 +1,6 @@
 (** In-order dual-issue timing model.
 
-    Consumes {!Axmemo_ir.Interp.event}s in execution order and charges cycles
+    Observes execution through {!Axmemo_ir.Interp.hooks} and charges cycles
     according to the HPI-like {!Machine} configuration: issue-width-limited
     in-order issue, scoreboarded operand readiness, functional-unit
     contention (non-pipelined dividers/sqrt), loads and stores through an
@@ -115,16 +115,10 @@ val create :
     cycle-indexed series); cycle results are bit-identical either way. *)
 
 val hooks : t -> Axmemo_ir.Interp.hooks
-(** Allocation-free attachment; pass as the interpreter's [hooks]. This is
-    the hot-path form: no event record is built per dynamic instruction.
-    With a [?profile] collector attached the callbacks also attribute every
+(** Allocation-free attachment; pass as the interpreter's [hooks]. With a
+    [?profile] collector attached the callbacks also attribute every
     instruction to its static region; without one they are exactly the
     unprofiled closures. *)
-
-val hook : t -> Axmemo_ir.Interp.event -> unit
-(** Feed one event; pass as the interpreter's [hook]. Convenience/legacy
-    form of {!hooks} — each event costs an allocation upstream and it does
-    {e not} feed the region profiler. *)
 
 val profile_close : t -> unit
 (** Charge the cycles between the last retired instruction and the final

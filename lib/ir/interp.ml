@@ -5,12 +5,6 @@ type memo_hooks = {
   invalidate : lut:int -> unit;
 }
 
-type event =
-  | Enter of { fname : string }
-  | Leave of { fname : string }
-  | Exec of { fname : string; bidx : int; iidx : int; instr : Ir.instr; addr : int }
-  | Term of { fname : string; bidx : int; term : Ir.terminator }
-
 type hooks = {
   on_enter : string -> unit;
   on_leave : string -> unit;
@@ -24,17 +18,6 @@ type hooks = {
   term_site : (string -> int -> Ir.terminator -> unit -> unit) option;
       (* site compiler for terminators, replacing [on_term] per execution *)
 }
-
-let hooks_of_event_fn f =
-  {
-    on_enter = (fun fname -> f (Enter { fname }));
-    on_leave = (fun fname -> f (Leave { fname }));
-    on_exec =
-      (fun fname bidx iidx instr addr -> f (Exec { fname; bidx; iidx; instr; addr }));
-    on_term = (fun fname bidx term -> f (Term { fname; bidx; term }));
-    exec_site = None;
-    term_site = None;
-  }
 
 let no_hooks =
   {
@@ -884,15 +867,8 @@ let run t fname args =
           exec_ker t k args;
           Array.copy k.k_ret)
 
-let create ?memo ?hook ?hooks ?(max_steps = 2_000_000_000) ?(backend = `Compiled)
-    ~program ~mem () =
-  let hooks =
-    match (hook, hooks) with
-    | None, None -> None
-    | Some f, None -> Some (hooks_of_event_fn f)
-    | None, Some h -> Some h
-    | Some f, Some h -> Some (combine_hooks (hooks_of_event_fn f) h)
-  in
+let create ?memo ?hooks ?(max_steps = 2_000_000_000) ?(backend = `Compiled) ~program
+    ~mem () =
   let funcs = Hashtbl.create 16 in
   Array.iter
     (fun (f : Ir.func) -> Hashtbl.replace funcs f.fname (compile_func f))

@@ -9,9 +9,7 @@
     - block labels are resolved to integer indices once at {!create}, so
       taking a branch is an array access, not a [Hashtbl.find];
     - the observer interface is the flat-argument {!hooks} record — no event
-      record is allocated per dynamic instruction (the variant-based
-      {!event}/[?hook] form remains as a convenience adapter and does pay
-      one allocation per event);
+      record is allocated per dynamic instruction;
     - the interpreter loop is specialized on hook presence at function-call
       granularity, so a hook-free run has no per-instruction hook dispatch. *)
 
@@ -26,22 +24,14 @@ type memo_hooks = {
   invalidate : lut:int -> unit;
 }
 
-type event =
-  | Enter of { fname : string }
-  | Leave of { fname : string }
-  | Exec of { fname : string; bidx : int; iidx : int; instr : Ir.instr; addr : int }
-      (** One instruction executed. [addr] is the resolved effective address
-          for memory instructions, [-1] otherwise. *)
-  | Term of { fname : string; bidx : int; term : Ir.terminator }
-      (** A terminator executed (control-flow edge taken). *)
-
 type hooks = {
   on_enter : string -> unit;  (** function entered *)
   on_leave : string -> unit;  (** function left *)
   on_exec : string -> int -> int -> Ir.instr -> int -> unit;
-      (** [on_exec fname bidx iidx instr addr]: one instruction executed;
-          the arguments mirror the [Exec] event fields. For a [Call] the
-          hook fires before the callee runs (issue order), with [addr = -1]. *)
+      (** [on_exec fname bidx iidx instr addr]: one instruction executed.
+          [addr] is the resolved effective address for memory instructions,
+          [-1] otherwise. For a [Call] the hook fires before the callee runs
+          (issue order). *)
   on_term : string -> int -> Ir.terminator -> unit;
       (** [on_term fname bidx term]: a terminator executed. *)
   exec_site : (string -> int -> int -> Ir.instr -> int -> unit) option;
@@ -57,17 +47,13 @@ type hooks = {
       (** Site compiler for terminators, replacing [on_term] per execution
           under the [`Compiled] backend. *)
 }
-(** Allocation-free observer calling convention: each callback receives flat
-    arguments instead of a freshly allocated {!event}. *)
+(** Allocation-free observer calling convention: each callback receives
+    flat arguments, so no record is allocated per event. *)
 
 val no_hooks : hooks
 (** The canonical no-op observer. {!combine_hooks} recognises it physically
     and short-circuits, so [combine_hooks no_hooks h] is [h] itself — no
     fan-out closures. *)
-
-val hooks_of_event_fn : (event -> unit) -> hooks
-(** Adapt an event-consuming closure to the flat interface (allocates one
-    event per callback — the legacy cost). *)
 
 val combine_hooks : hooks -> hooks -> hooks
 (** Fan one execution out to two observers, first-before-second. When either
@@ -83,11 +69,10 @@ type backend = [ `Interp | `Compiled ]
     (operands resolved to array slots, branch targets to compiled-block
     references, hook sites specialized per static instruction) and
     dispatches once per block. Both are pinned bit-identical: same results,
-    same {!steps}, same hook/event sequence. *)
+    same {!steps}, same hook call sequence. *)
 
 val create :
   ?memo:memo_hooks ->
-  ?hook:(event -> unit) ->
   ?hooks:hooks ->
   ?max_steps:int ->
   ?backend:backend ->
@@ -98,9 +83,8 @@ val create :
 (** [create ~program ~mem ()] prepares an execution context, pre-resolving
     every terminator label to a block index. [max_steps] (default
     [2_000_000_000]) bounds total executed instructions as a runaway guard.
-    [hooks] is the allocation-free observer; [hook] is the event-based
-    convenience form (adapted internally). If both are given, [hook] fires
-    first. [backend] (default [`Compiled]) selects the execution strategy.
+    [hooks] is the observer. [backend] (default [`Compiled]) selects the
+    execution strategy.
     @raise Failure if a terminator references an unknown label. *)
 
 val run : t -> string -> Ir.value array -> Ir.value array

@@ -344,7 +344,7 @@ let parse_header line s =
   | None -> fail line "header missing ("
   | Some i -> (
       let fname = strip (String.sub s 0 i) in
-      match String.index_opt s ')' with
+      match String.index_from_opt s i ')' with
       | None -> fail line "header missing )"
       | Some j ->
           let params_s = String.sub s (i + 1) (j - i - 1) in

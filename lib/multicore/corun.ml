@@ -107,10 +107,8 @@ let resolve_mix cfg =
 let remap_regions ~offset regions =
   if offset = 0 then regions
   else
-    List.mapi
-      (fun i (r : Transform.region) ->
-        ignore i;
-        { r with Transform.lut_id = r.Transform.lut_id + offset })
+    List.map
+      (fun (r : Transform.region) -> { r with Transform.lut_id = r.Transform.lut_id + offset })
       regions
 
 (* The union of every workload's (renumbered) LUT declarations — what each
@@ -306,7 +304,8 @@ let monitor_observed cluster =
       (s + s', b + b', t + if Memo_unit.disabled c.unit_ then 1 else 0))
     (0, 0, 0) cluster.cores
 
-(* Total invalidation broadcasts delivered to per-core units so far. *)
+(* Retired invalidates so far: each unit's own count (peers' external drops
+   do not count). *)
 let invalidations_sent cluster =
   Array.fold_left
     (fun acc c -> acc + (Memo_unit.stats c.unit_).Memo_unit.invalidations)
@@ -398,24 +397,15 @@ let strip_trailing_invalidates ~entry (program : Ir.program) =
         program.Ir.funcs;
   }
 
-let stats_delta (a : Memo_unit.stats) (b : Memo_unit.stats) : Memo_unit.stats =
-  {
-    sends = b.sends - a.sends;
-    bytes_hashed = b.bytes_hashed - a.bytes_hashed;
-    lookups = b.lookups - a.lookups;
-    l1_hits = b.l1_hits - a.l1_hits;
-    l2_hits = b.l2_hits - a.l2_hits;
-    l3_hits = b.l3_hits - a.l3_hits;
-    misses = b.misses - a.misses;
-    forced_misses = b.forced_misses - a.forced_misses;
-    updates = b.updates - a.updates;
-    invalidations = b.invalidations - a.invalidations;
-    collisions = b.collisions - a.collisions;
-    monitor_comparisons = b.monitor_comparisons - a.monitor_comparisons;
-  }
-
-let run_request cluster ~core ~start (entry : mix_entry) =
+let exec_request cluster ~workload ~core ~start =
   let wall_start = Unix.gettimeofday () in
+  let entry =
+    match List.find_opt (fun e -> e.wname = workload) cluster.mix with
+    | Some entry -> entry
+    | None ->
+        invalid_arg
+          (Printf.sprintf "Corun.exec_request: %S is not in the cluster's mix" workload)
+  in
   let cfg = cluster.cfg in
   let c = cluster.cores.(core) in
   let instance = entry.make cfg.variant in
@@ -434,101 +424,43 @@ let run_request cluster ~core ~start (entry : mix_entry) =
      covers only its own accesses. *)
   Hierarchy.reset_stats c.hierarchy;
   c.timing.base <- start;
-  let lookup_level () =
-    match Memo_unit.last_lookup_level c.unit_ with
-    | Memo_unit.Hit_l1 -> `L1
-    | Memo_unit.Hit_l2 -> `L2
-    | Memo_unit.Hit_l3 -> `L3
-    | Memo_unit.Miss -> `Miss
-  in
-  let pipe =
-    Pipeline.create
-      ?profile:
-        (Option.map
-           (fun ps -> Profile.pipeline_profile ps.(core))
-           cluster.profiles)
-      ~machine ~lookup_level ~l2_lut_present:true
-      ~l3_lookup_cycles:(fun () -> Memo_unit.last_l3_cycles c.unit_)
-      ~l1_lut_ways:(Memo_unit.l1_ways c.unit_)
-      ~crc_bytes_per_cycle:Timing.crc_bytes_per_cycle ~program ~hierarchy:c.hierarchy ()
-  in
-  c.timing.clock <- (fun () -> Pipeline.cycles pipe);
-  cluster.active := c.timing;
-  let before = Memo_unit.stats c.unit_ in
-  let l3_before = Option.map Dram_lut.stats cluster.l3 in
-  let interp =
-    Interp.create ~memo:(memo_hooks cluster ~core) ~hooks:(Pipeline.hooks pipe) ~program
-      ~mem:instance.Workload.mem ()
-  in
-  let crashed =
-    match cluster.injector with
-    | None ->
-        ignore (Interp.run interp instance.Workload.entry instance.Workload.args);
-        None
-    | Some _ -> (
-        (* Same DUE semantics as Runner.run_hw: an injected upset may crash
-           the simulated program; keep what was computed up to the crash. *)
-        try
-          ignore (Interp.run interp instance.Workload.entry instance.Workload.args);
-          None
-        with e -> Some (Printexc.to_string e))
-  in
-  Pipeline.profile_close pipe;
-  let ms = stats_delta before (Memo_unit.stats c.unit_) in
-  let pipeline_stats = Pipeline.stats pipe in
-  (* This request's share of the DRAM tier's row traffic (the tier is a
-     cluster-wide structure; requests run one at a time, so the delta is
-     exactly this request's). *)
-  let l3_row_hits, l3_activations =
-    match (l3_before, cluster.l3) with
-    | Some b, Some d ->
+  (* The DRAM tier is cluster-wide; requests run one at a time, so the
+     change in its row counters is exactly this request's share. *)
+  let l3_rows () =
+    match cluster.l3 with
+    | Some d ->
         let s = Dram_lut.stats d in
-        ( s.Dram_lut.row_hits - b.Dram_lut.row_hits,
-          s.Dram_lut.row_activations - b.Dram_lut.row_activations )
-    | _ -> (0, 0)
+        (s.Dram_lut.row_hits, s.Dram_lut.row_activations)
+    | None -> (0, 0)
   in
-  let energy =
-    Model.of_run ~l3_row_hits ~l3_activations ~pipeline:pipeline_stats
-      ~hierarchy:c.hierarchy ~memo:(Some ms) ~l1_lut_bytes:cfg.l1_bytes ()
-  in
-  let cycles = pipeline_stats.Pipeline.cycles in
-  {
-    Runner.label = label cfg;
-    cycles;
-    seconds = float_of_int cycles /. (machine.Machine.freq_ghz *. 1e9);
-    sim_wall_seconds = Unix.gettimeofday () -. wall_start;
-    dyn_normal = pipeline_stats.Pipeline.dyn_normal;
-    dyn_memo = pipeline_stats.Pipeline.dyn_memo;
-    pipeline = pipeline_stats;
-    energy;
-    lookups = ms.lookups;
-    hits = ms.l1_hits + ms.l2_hits + ms.l3_hits;
-    hit_rate =
-      (if ms.lookups = 0 then 0.0
-       else
-         float_of_int (ms.l1_hits + ms.l2_hits + ms.l3_hits)
-         /. float_of_int ms.lookups);
-    collisions = ms.collisions;
-    memo_disabled = Memo_unit.disabled c.unit_;
-    trip_lookup = Memo_unit.trip_lookup c.unit_;
-    faults = None;
-    crashed;
-    outputs = instance.Workload.read_outputs ();
-  }
+  Runner.execute ~label:(label cfg) ~wall_start ~metrics:None
+    ~profile:(Option.map (fun ps -> Profile.pipeline_profile ps.(core)) cluster.profiles)
+    ~backend:None
+    ~memo:
+      (Some
+         {
+           Runner.unit = c.unit_;
+           hooks = memo_hooks cluster ~core;
+           l1_lut_bytes = cfg.l1_bytes;
+           l2_lut_present = true;
+           crc_bytes_per_cycle = Timing.crc_bytes_per_cycle;
+           (* Same DUE semantics as a standalone run: an upset in the shared
+              LUT may crash the simulated program. *)
+           crashes = Option.is_some cluster.injector;
+           l3_rows;
+         })
+    ~observe:(fun pipe ->
+      c.timing.clock <- (fun () -> Pipeline.cycles pipe);
+      cluster.active := c.timing;
+      Interp.no_hooks)
+    ~program ~hierarchy:c.hierarchy instance
 
 (* ---- serve-layer access ------------------------------------------------
 
    The open-loop service model (lib/serve) drives a cluster request by
    request through its own dispatcher instead of [run]'s closed stream, so
-   the per-request execution, the post-hoc arbitration settlement and the
+   besides [exec_request] the post-hoc arbitration settlement and the
    metric flush/snapshot step are exposed individually. *)
-
-let exec_request cluster ~workload ~core ~start =
-  match List.find_opt (fun e -> e.wname = workload) cluster.mix with
-  | Some entry -> run_request cluster ~core ~start entry
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Corun.exec_request: %S is not in the cluster's mix" workload)
 
 let settle_arbiter cluster = Arbiter.settle cluster.arbiter ~ncores:cluster.cfg.ncores
 
@@ -617,23 +549,17 @@ type outcome = {
   profiles : Profile.snapshot array option;  (* per core, core order *)
 }
 
-(* The paper's no-coherence argument, measured: collect every structure's
-   valid entries and count (lut_id, key) pairs that appear in more than one
-   of them — and how many of those hold diverging payloads. The DRAM tier is
-   deliberately excluded: its relaxed payload cells are approximate by
-   contract, so an entry that decayed there is not a coherence violation. *)
-let coherence_check (cluster : cluster) =
+(* The paper's no-coherence argument, measured: given every structure's
+   valid entries, count (lut_id, key) pairs that appear in more than one of
+   them — and how many of those hold diverging payloads. *)
+let coherence structures =
   let tbl : (int * int64, int64 list) Hashtbl.t = Hashtbl.create 1024 in
-  let add entries =
-    List.iter
-      (fun (lut_id, key, payload) ->
-        let k = (lut_id, key) in
-        let prev = Option.value ~default:[] (Hashtbl.find_opt tbl k) in
-        Hashtbl.replace tbl k (payload :: prev))
-      entries
-  in
-  Array.iter (fun c -> add (Memo_unit.lut_entries c.unit_)) cluster.cores;
-  add (Shared_lut.entries cluster.shared);
+  List.iter
+    (List.iter (fun (lut_id, key, payload) ->
+         let k = (lut_id, key) in
+         let prev = Option.value ~default:[] (Hashtbl.find_opt tbl k) in
+         Hashtbl.replace tbl k (payload :: prev)))
+    structures;
   Hashtbl.fold
     (fun _k payloads (keys, divergent) ->
       match payloads with
@@ -641,6 +567,14 @@ let coherence_check (cluster : cluster) =
       | p :: rest ->
           (keys + 1, if List.for_all (fun q -> q = p) rest then divergent else divergent + 1))
     tbl (0, 0)
+
+(* The DRAM tier is deliberately excluded: its relaxed payload cells are
+   approximate by contract, so an entry that decayed there is not a
+   coherence violation. *)
+let coherence_check (cluster : cluster) =
+  coherence
+    (Array.to_list (Array.map (fun c -> Memo_unit.lut_entries c.unit_) cluster.cores)
+    @ [ Shared_lut.entries cluster.shared ])
 
 let run_keep ?(metrics = false) ?(profile = false) cfg =
   let cluster = create_cluster ~metrics ~profile cfg in
@@ -664,7 +598,7 @@ let run_keep ?(metrics = false) ?(profile = false) cfg =
   let placements, busy =
     Schedule.dispatch ~ncores:cfg.ncores
       ~run:(fun (r : Schedule.request) ~core ~start ->
-        let result = run_request cluster ~core ~start (mix_of r.Schedule.workload) in
+        let result = exec_request cluster ~workload:r.Schedule.workload ~core ~start in
         (result.Runner.cycles, result))
       stream
   in

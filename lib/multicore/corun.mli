@@ -111,9 +111,16 @@ val monitor_observed : cluster -> int * int * int
     service windows. *)
 
 val invalidations_sent : cluster -> int
-(** Total invalidation broadcasts delivered to per-core units so far
-    (each store-triggered broadcast counts once per core that received
-    it). Monotone; used by the timeline sampler. *)
+(** Retired [invalidate] instructions so far, summed over the cores: each
+    unit's own [invalidations] count. The broadcast a retired invalidate
+    sends to peer L1s ({!Axmemo_memo.Memo_unit.invalidate_external}) does
+    not count. Monotone; the one-node timeline sampler reads it. *)
+
+val coherence : (int * int64 * int64) list list -> int * int
+(** The paper's no-coherence argument, measured over the valid
+    [(lut, key, payload)] entries of several LUT structures: the
+    [(lut, key)] pairs present in more than one structure, and how many of
+    those hold diverging payloads. *)
 
 val dram_lut : cluster -> Axmemo_tier.Dram_lut.t option
 (** The cluster's DRAM tier, when the config asked for one. *)

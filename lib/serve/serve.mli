@@ -1,13 +1,14 @@
-(** Open-loop service model over the co-run cluster: seeded arrivals, a
+(** Open-loop service model over the memoization cluster: seeded arrivals, a
     bounded FIFO admission queue with load shedding, per-request latency
     observability, SLO accounting, and saturation sweeps.
 
     One run calibrates the mean per-request service time on a throwaway
     1-core cluster, converts [load] into an arrival rate
     ([load * ncores / mean_service_cycles]), generates the seeded arrival
-    stream ({!Arrival}), and drives a fresh {!Axmemo_multicore.Corun}
-    cluster through {!Axmemo_multicore.Schedule.dispatch_open} — LUT and
-    cache state stay warm across requests exactly as in the closed co-run.
+    stream ({!Arrival}), and drives a fresh {!Axmemo_cluster.Cluster} of
+    [nodes] nodes (one node is the plain {!Axmemo_multicore.Corun} model)
+    through {!Axmemo_multicore.Schedule.dispatch_open} — LUT and cache
+    state stay warm across requests exactly as in the closed co-run.
     Latency histograms, SLO rates, the Chrome request timeline and the
     ["service"] report section are purely observational: per-request cycle
     results are bit-identical with or without them.
@@ -38,12 +39,15 @@ type config = {
       (** cores, LUT sizes, partition policy, mix and request count (the
           per-node shape when [nodes > 1]) *)
   nodes : int;
-      (** service nodes. 1 (the default) drives a plain
-          {!Axmemo_multicore.Corun} cluster — the pre-cluster code path,
-          byte-identical reports. [> 1] drives the sharded multi-node
-          cluster ({!Axmemo_cluster.Cluster}) with directory invalidation
-          and the modeled interconnect; the report row gains the
-          ["cluster"] section and per-node [n<j>.]-prefixed metrics. *)
+      (** service nodes of the sharded cluster ({!Axmemo_cluster.Cluster}).
+          1 (the default) is the plain co-run: unprefixed [core<i>] /
+          [cluster] registries and no ["cluster"] report section, so its
+          reports are byte-identical to the pre-cluster ones. [> 1] adds
+          directory invalidation and the modeled interconnect; the report
+          row gains the ["cluster"] section and per-node [n<j>.]-prefixed
+          metrics. The timeline's [inv_sent] counts retired [invalidate]
+          instructions on one node ({!Axmemo_multicore.Corun.invalidations_sent})
+          and point-to-point directory node messages on several. *)
   arrival : Arrival.kind;
   load : float;
       (** offered load as a fraction of cluster capacity; 1.0 = one mean

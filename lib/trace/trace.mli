@@ -36,10 +36,6 @@ val hooks : t -> Axmemo_ir.Interp.hooks
 (** Allocation-free attachment; pass as the interpreter's [hooks] during a
     {e sample-input} run. *)
 
-val hook : t -> Axmemo_ir.Interp.event -> unit
-(** Attach as the interpreter hook during a {e sample-input} run
-    (event-based convenience form of {!hooks}). *)
-
 val entries : t -> entry array
 (** Recorded entries in execution order. *)
 

@@ -22,7 +22,9 @@ type traffic = {
   quality_bad : int;
   monitor_trips : int;
 }
-(** Cumulative cluster-side totals sampled around one request's execution;
+(** Cumulative cluster-side totals sampled around one request's execution
+    ([inv_sent] counts retired [invalidate] instructions on a one-node run
+    and point-to-point directory node messages on a multi-node one);
     subtracting the before-sample from the after-sample attributes the
     difference to that request (runs execute requests serially, so the
     attribution is exact and deterministic). *)

@@ -85,13 +85,28 @@ let build_program seed =
   let main = build_main rng in
   { Ir.funcs = [| main; helper |] }
 
+(* Every hook call, reified so two backends' sequences compare directly. *)
+type event =
+  | Enter of string
+  | Leave of string
+  | Exec of string * int * int * Ir.instr * int
+  | Term of string * int * Ir.terminator
+
 (* One backend's view of a run: results, step count, full event trace. *)
 let observe backend program arg =
   let events = ref [] in
-  let mem = Memory.create () in
-  let i =
-    Interp.create ~backend ~hook:(fun e -> events := e :: !events) ~program ~mem ()
+  let record e = events := e :: !events in
+  let hooks =
+    {
+      Interp.no_hooks with
+      on_enter = (fun fname -> record (Enter fname));
+      on_leave = (fun fname -> record (Leave fname));
+      on_exec = (fun fname bidx iidx instr addr -> record (Exec (fname, bidx, iidx, instr, addr)));
+      on_term = (fun fname bidx term -> record (Term (fname, bidx, term)));
+    }
   in
+  let mem = Memory.create () in
+  let i = Interp.create ~backend ~hooks ~program ~mem () in
   let out = Interp.run i "main" [| Ir.VI (Int64.of_int arg) |] in
   (out, Interp.steps i, List.rev !events)
 

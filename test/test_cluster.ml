@@ -98,7 +98,42 @@ let test_single_node_identity () =
       Alcotest.(check bool) "result bits" true
         ({ b.Cluster.result with Runner.sim_wall_seconds = 0.0 }
         = { a.Corun.result with Runner.sim_wall_seconds = 0.0 }))
-    r.Corun.requests c.Cluster.requests
+    r.Corun.requests c.Cluster.requests;
+  (* Warm start, the path a 1-node serve run takes: one Corun-captured
+     snapshot (small LUTs, so every level down to the DRAM tier holds
+     entries) restored into a fresh Corun cluster and into a fresh 1-node
+     cluster must land the same entries in the same recency order. *)
+  let warm =
+    {
+      node with
+      l1_bytes = 1024;
+      shared_l2_bytes = 4096;
+      l3 = Some { Axmemo_tier.Dram_lut.default with size_bytes = 256 * 1024; row_bytes = 1024 };
+    }
+  in
+  let snap = Corun.capture_snapshot (snd (Corun.run_keep warm)) in
+  Alcotest.(check bool) "snapshot reaches the tier" true
+    (match Snapshot.section snap "l3" with
+    | Some s -> Array.length s.Snapshot.entries > 0
+    | None -> false);
+  let corun = Corun.create_cluster warm in
+  let one = Cluster.create { Cluster.default with nodes = 1; node = warm } in
+  let restored = Corun.restore_snapshot corun snap in
+  Alcotest.(check bool) "entries restored" true (restored > 0);
+  Alcotest.(check int) "restored count" restored (Cluster.restore_snapshot one snap);
+  let unprefixed (s : Snapshot.section) =
+    let n = s.Snapshot.name in
+    if String.starts_with ~prefix:"n0." n then
+      { s with Snapshot.name = String.sub n 3 (String.length n - 3) }
+    else Alcotest.failf "section %S lacks the n0. prefix" n
+  in
+  Alcotest.(check string) "re-captured sections"
+    (Snapshot.to_bytes (Corun.capture_snapshot corun))
+    (Snapshot.to_bytes
+       {
+         Snapshot.sections =
+           List.map unprefixed (Cluster.capture_snapshot one).Snapshot.sections;
+       })
 
 (* --- directory vs broadcast --- *)
 

@@ -13,9 +13,9 @@ let run_func ?memo fn args =
   let t = Interp.create ?memo ~program ~mem () in
   Interp.run t fn.Ir.fname args
 
-let run_program ?memo ?hook funcs entry args mem =
+let run_program ?memo funcs entry args mem =
   let program = { Ir.funcs = Array.of_list funcs } in
-  let t = Interp.create ?memo ?hook ~program ~mem () in
+  let t = Interp.create ?memo ~program ~mem () in
   Interp.run t entry args
 
 let vi = function Ir.VI v -> v | Ir.VF _ -> Alcotest.fail "expected int"
@@ -434,10 +434,19 @@ let test_parse_comments_and_blanks () =
   Alcotest.(check bool) "parses" true (Result.is_ok (Parser.parse_program text))
 
 let test_parse_errors_carry_lines () =
-  let text = "func f() -> (i32) [regs=1]\nentry:\n  r0 = frobnicate r1\n  ret r0\n" in
-  match Parser.parse_program text with
-  | Ok _ -> Alcotest.fail "expected a parse error"
-  | Error e -> Alcotest.(check int) "line number" 3 e.line
+  (* Hostile headers are parse errors too, never an exception from the
+     parser's own string slicing. *)
+  List.iter
+    (fun (text, line) ->
+      match Parser.parse_program text with
+      | Ok _ -> Alcotest.failf "expected a parse error for %S" text
+      | Error e -> Alcotest.(check int) (Printf.sprintf "line of %S" text) line e.line)
+    [
+      ("func f() -> (i32) [regs=1]\nentry:\n  r0 = frobnicate r1\n  ret r0\n", 3);
+      ("func )( -> f64 {\n", 1);
+      ("func )(%0: f\xc04) -> f64 {\n", 1);
+      ("func @main() -> f64 {\n", 1);
+    ]
 
 let test_parse_missing_terminator () =
   let text = "func f() -> () [regs=1]\nentry:\n  r0 = const.i32 1\n" in
