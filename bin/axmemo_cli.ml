@@ -616,11 +616,17 @@ let l3_arg =
     & info [ "l3" ] ~docv:"MB"
         ~doc:
           "Attach a DRAM-resident L3 LUT tier of $(docv) MiB behind the \
-           shared level (0, the default, attaches no tier). Shared-LUT \
-           victims spill into it; SRAM misses probe it at row-buffer cost.")
+           shared level (0, the default, attaches no tier; at most 4096). \
+           Shared-LUT victims spill into it; SRAM misses probe it at \
+           row-buffer cost.")
+
+(* Largest --l3 tier: keeps [mb * 1024 * 1024] far from overflow and the
+   tier's row index (4 Mi rows of 1 KiB) small. *)
+let l3_max_mb = 4096
 
 let l3_config_of mb =
   if mb < 0 then die "--l3 must be non-negative (got %d)" mb
+  else if mb > l3_max_mb then die "--l3 must be at most %d MiB (got %d)" l3_max_mb mb
   else if mb = 0 then None
   else Some { Axmemo_tier.Dram_lut.default with size_bytes = mb * 1024 * 1024 }
 

@@ -61,16 +61,27 @@ type counters = {
   c_corrupted : Registry.counter;
 }
 
-type t = {
-  cfg : config;
-  nrows : int;
-  slots : int;  (* entries per row *)
+(* One DRAM row's slots, allocated on the row's first write. [fifo] is the
+   row's FIFO eviction cursor: 0 until the row first evicts. *)
+type row = {
   valid : bool array;
   lut_ids : int array;
   keys : int64 array;
   payloads : int64 array;
   stamp : int array;  (* global insertion tick, for snapshot age order *)
-  fifo : int array;  (* per-row FIFO eviction cursor *)
+  mutable fifo : int;
+}
+
+(* Shared by every never-written row: zero slots, so probes, scans and
+   enumeration pass over it without allocating. *)
+let empty_row =
+  { valid = [||]; lut_ids = [||]; keys = [||]; payloads = [||]; stamp = [||]; fifo = 0 }
+
+type t = {
+  cfg : config;
+  nrows : int;
+  slots : int;  (* entries per row *)
+  rows : row array;  (* [empty_row] until first written *)
   mutable tick : int;
   mutable open_row : int;  (* -1 = all banks precharged *)
   mutable occupied : int;
@@ -80,7 +91,16 @@ type t = {
          low bits had decayed; None on exact reads and misses *)
   injector : Injector.t option;
   counters : counters option;
-  mutable s : stats;
+  (* running [stats] fields *)
+  mutable n_probes : int;
+  mutable n_hits : int;
+  mutable n_misses : int;
+  mutable n_inserts : int;
+  mutable n_evictions : int;
+  mutable n_row_activations : int;
+  mutable n_row_hits : int;
+  mutable n_invalidations : int;
+  mutable n_corrupted_reads : int;
 }
 
 let create ?metrics ?injector cfg =
@@ -94,7 +114,6 @@ let create ?metrics ?injector cfg =
     invalid_arg "Dram_lut.create: cycle costs must be non-negative";
   let nrows = cfg.size_bytes / cfg.row_bytes in
   let slots = cfg.row_bytes / entry_bytes in
-  let n = nrows * slots in
   let counters =
     Option.map
       (fun m ->
@@ -114,12 +133,7 @@ let create ?metrics ?injector cfg =
     cfg;
     nrows;
     slots;
-    valid = Array.make n false;
-    lut_ids = Array.make n 0;
-    keys = Array.make n 0L;
-    payloads = Array.make n 0L;
-    stamp = Array.make n 0;
-    fifo = Array.make nrows 0;
+    rows = Array.make nrows empty_row;
     tick = 0;
     open_row = -1;
     occupied = 0;
@@ -127,7 +141,8 @@ let create ?metrics ?injector cfg =
     last_decay = None;
     injector;
     counters;
-    s = zero_stats;
+    n_probes = 0; n_hits = 0; n_misses = 0; n_inserts = 0; n_evictions = 0;
+    n_row_activations = 0; n_row_hits = 0; n_invalidations = 0; n_corrupted_reads = 0;
   }
 
 let config t = t.cfg
@@ -135,7 +150,20 @@ let rows t = t.nrows
 let slots_per_row t = t.slots
 let capacity_entries t = t.nrows * t.slots
 let occupancy t = t.occupied
-let stats t = t.s
+
+let stats t =
+  {
+    probes = t.n_probes;
+    hits = t.n_hits;
+    misses = t.n_misses;
+    inserts = t.n_inserts;
+    evictions = t.n_evictions;
+    row_activations = t.n_row_activations;
+    row_hits = t.n_row_hits;
+    invalidations = t.n_invalidations;
+    corrupted_reads = t.n_corrupted_reads;
+  }
+
 let last_probe_cycles t = t.last_probe_cycles
 let last_decay t = t.last_decay
 
@@ -151,27 +179,39 @@ let row_of_key t key =
    are posted — the pipeline never waits on them. *)
 let touch_row t row =
   if t.open_row = row then begin
-    t.s <- { t.s with row_hits = t.s.row_hits + 1 };
+    t.n_row_hits <- t.n_row_hits + 1;
     bump t.counters (fun c -> c.c_row_hits);
     t.cfg.row_hit_cycles
   end
   else begin
     t.open_row <- row;
-    t.s <- { t.s with row_activations = t.s.row_activations + 1 };
+    t.n_row_activations <- t.n_row_activations + 1;
     bump t.counters (fun c -> c.c_row_activations);
     t.cfg.activate_cycles + t.cfg.row_hit_cycles
   end
 
-let find_in_row t row ~lut_id ~key =
-  let base = row * t.slots in
+(* Slot holding [(lut_id, key)] in [row], or -1. *)
+let find_in_row row ~lut_id ~key =
   let rec go s =
-    if s >= t.slots then -1
-    else
-      let idx = base + s in
-      if t.valid.(idx) && t.lut_ids.(idx) = lut_id && t.keys.(idx) = key then idx
-      else go (s + 1)
+    if s >= Array.length row.valid then -1
+    else if row.valid.(s) && row.lut_ids.(s) = lut_id && row.keys.(s) = key then s
+    else go (s + 1)
   in
   go 0
+
+(* Row [r] ready for a write: its slots are allocated on first use. *)
+let materialise t r =
+  let row = t.rows.(r) in
+  if row != empty_row then row
+  else begin
+    let n = t.slots in
+    let row =
+      { valid = Array.make n false; lut_ids = Array.make n 0; keys = Array.make n 0L;
+        payloads = Array.make n 0L; stamp = Array.make n 0; fifo = 0 }
+    in
+    t.rows.(r) <- row;
+    row
+  end
 
 (* Approximate payload memory (Akiyama-style criticality split): the high
    [exact_high_bits] live in nominally-refreshed cells, the low bits in
@@ -180,35 +220,35 @@ let find_in_row t row ~lut_id ~key =
    stay until the cell is rewritten. The [L3_payload] site must be listed
    in the injector's spec for any opportunity to be drawn; otherwise the
    read is exact and perturbs nothing (not even the fault RNG stream). *)
-let read_payload t idx =
+let read_payload t row s =
   let relaxed = 64 - t.cfg.exact_high_bits in
   match t.injector with
   | Some inj when relaxed > 0 ->
-      let v = t.payloads.(idx) in
+      let v = row.payloads.(s) in
       let v' = Injector.corrupt inj Fault_model.L3_payload ~width:relaxed v in
       if v' <> v then begin
-        t.payloads.(idx) <- v';
-        t.s <- { t.s with corrupted_reads = t.s.corrupted_reads + 1 };
+        row.payloads.(s) <- v';
+        t.n_corrupted_reads <- t.n_corrupted_reads + 1;
         bump t.counters (fun c -> c.c_corrupted);
         t.last_decay <- Some (v, v');
         Injector.note_sdc inj
       end;
       v'
-  | _ -> t.payloads.(idx)
+  | _ -> row.payloads.(s)
 
 let probe t ~lut_id ~key =
   t.last_decay <- None;
-  t.s <- { t.s with probes = t.s.probes + 1 };
+  t.n_probes <- t.n_probes + 1;
   bump t.counters (fun c -> c.c_probes);
-  let row = row_of_key t key in
-  let idx = find_in_row t row ~lut_id ~key in
-  if idx >= 0 then begin
-    t.s <- { t.s with hits = t.s.hits + 1 };
+  let row = t.rows.(row_of_key t key) in
+  let s = find_in_row row ~lut_id ~key in
+  if s >= 0 then begin
+    t.n_hits <- t.n_hits + 1;
     bump t.counters (fun c -> c.c_hits);
-    Some (read_payload t idx)
+    Some (read_payload t row s)
   end
   else begin
-    t.s <- { t.s with misses = t.s.misses + 1 };
+    t.n_misses <- t.n_misses + 1;
     bump t.counters (fun c -> c.c_misses);
     None
   end
@@ -242,67 +282,77 @@ let bulk_lookup t pairs =
     order;
   (results, !total)
 
-let write_entry t idx ~lut_id ~key ~payload =
-  if not t.valid.(idx) then t.occupied <- t.occupied + 1;
-  t.valid.(idx) <- true;
-  t.lut_ids.(idx) <- lut_id;
-  t.keys.(idx) <- key;
-  t.payloads.(idx) <- payload;
-  t.tick <- t.tick + 1;
-  t.stamp.(idx) <- t.tick
+(* Slot to write [(lut_id, key)] into, and whether it evicts: the entry's
+   own slot, else the row's first invalid slot, else the FIFO cursor (rows
+   are huge, so plain FIFO replacement loses almost nothing over LRU and
+   needs no per-access recency writes in DRAM). *)
+let slot_for row ~lut_id ~key =
+  let s = find_in_row row ~lut_id ~key in
+  if s >= 0 then (s, false)
+  else
+    let rec hole s =
+      if s >= Array.length row.valid then -1 else if not row.valid.(s) then s else hole (s + 1)
+    in
+    match hole 0 with
+    | -1 ->
+        let s = row.fifo in
+        row.fifo <- (s + 1) mod Array.length row.valid;
+        (s, true)
+    | s -> (s, false)
 
-(* Victim slot for a row: first invalid slot, else the FIFO cursor (rows are
-   huge, so plain FIFO replacement loses almost nothing over LRU and needs
-   no per-access recency writes in DRAM). *)
-let victim_slot t row =
-  let base = row * t.slots in
-  let rec hole s = if s >= t.slots then -1 else if not t.valid.(base + s) then s else hole (s + 1) in
-  match hole 0 with
-  | -1 ->
-      let s = t.fifo.(row) in
-      t.fifo.(row) <- (s + 1) mod t.slots;
-      (s, true)
-  | s -> (s, false)
+let write_entry t row s ~lut_id ~key ~payload ~stamp =
+  if not row.valid.(s) then t.occupied <- t.occupied + 1;
+  row.valid.(s) <- true;
+  row.lut_ids.(s) <- lut_id;
+  row.keys.(s) <- key;
+  row.payloads.(s) <- payload;
+  row.stamp.(s) <- stamp
+
+(* One serial write into row [r] at the next tick; true when it evicted. *)
+let put t r ~lut_id ~key ~payload =
+  let row = materialise t r in
+  let s, evicted = slot_for row ~lut_id ~key in
+  t.tick <- t.tick + 1;
+  write_entry t row s ~lut_id ~key ~payload ~stamp:t.tick;
+  evicted
 
 let insert t ~lut_id ~key ~payload =
-  t.s <- { t.s with inserts = t.s.inserts + 1 };
+  t.n_inserts <- t.n_inserts + 1;
   bump t.counters (fun c -> c.c_spills);
-  let row = row_of_key t key in
-  ignore (touch_row t row : int);
-  let idx = find_in_row t row ~lut_id ~key in
-  if idx >= 0 then write_entry t idx ~lut_id ~key ~payload
-  else begin
-    let slot, evicted = victim_slot t row in
-    if evicted then begin
-      t.s <- { t.s with evictions = t.s.evictions + 1 };
-      bump t.counters (fun c -> c.c_evictions)
-    end;
-    write_entry t (row * t.slots + slot) ~lut_id ~key ~payload
+  let r = row_of_key t key in
+  ignore (touch_row t r : int);
+  if put t r ~lut_id ~key ~payload then begin
+    t.n_evictions <- t.n_evictions + 1;
+    bump t.counters (fun c -> c.c_evictions)
   end
 
 let invalidate_lut t ~lut_id =
-  t.s <- { t.s with invalidations = t.s.invalidations + 1 };
-  for i = 0 to Array.length t.valid - 1 do
-    if t.valid.(i) && t.lut_ids.(i) = lut_id then begin
-      t.valid.(i) <- false;
-      t.occupied <- t.occupied - 1
-    end
-  done
+  t.n_invalidations <- t.n_invalidations + 1;
+  Array.iter
+    (fun row ->
+      Array.iteri
+        (fun s v ->
+          if v && row.lut_ids.(s) = lut_id then begin
+            row.valid.(s) <- false;
+            t.occupied <- t.occupied - 1
+          end)
+        row.valid)
+    t.rows
 
 let invalidate_all t =
-  Array.fill t.valid 0 (Array.length t.valid) false;
+  Array.iter (fun row -> Array.fill row.valid 0 (Array.length row.valid) false) t.rows;
   t.occupied <- 0
 
 let iter_entries t f =
-  for row = 0 to t.nrows - 1 do
-    let base = row * t.slots in
-    for s = 0 to t.slots - 1 do
-      let idx = base + s in
-      if t.valid.(idx) then
-        f ~row ~slot:s ~lut_id:t.lut_ids.(idx) ~key:t.keys.(idx)
-          ~payload:t.payloads.(idx) ~stamp:t.stamp.(idx)
-    done
-  done
+  Array.iteri
+    (fun r row ->
+      Array.iteri
+        (fun s v ->
+          if v then
+            f ~row:r ~slot:s ~lut_id:row.lut_ids.(s) ~key:row.keys.(s)
+              ~payload:row.payloads.(s) ~stamp:row.stamp.(s))
+        row.valid)
+    t.rows
 
 let entries t =
   let acc = ref [] in
@@ -314,13 +364,7 @@ let entries t =
    no fault opportunities, no telemetry, no row-buffer perturbation. Replayed
    oldest-first it reproduces the captured per-row FIFO order. *)
 let restore_entry t ~lut_id ~key ~payload =
-  let row = row_of_key t key in
-  let idx = find_in_row t row ~lut_id ~key in
-  if idx >= 0 then write_entry t idx ~lut_id ~key ~payload
-  else begin
-    let slot, _evicted = victim_slot t row in
-    write_entry t (row * t.slots + slot) ~lut_id ~key ~payload
-  end
+  ignore (put t (row_of_key t key) ~lut_id ~key ~payload : bool)
 
 (* Row-sorted bulk fill — the batch-warming policy driving the pLUTo
    amortisation [bulk_lookup] models: entries land row-major so each touched
@@ -359,24 +403,14 @@ let bulk_fill t entries =
   Array.iter
     (fun i ->
       let lut_id, key, payload = entries.(i) in
-      let row = rows.(i) in
-      if row <> !prev then begin
+      let r = rows.(i) in
+      if r <> !prev then begin
         incr amortised;
-        prev := row
+        prev := r
       end;
-      let idx = find_in_row t row ~lut_id ~key in
-      let idx =
-        if idx >= 0 then idx
-        else
-          let slot, _evicted = victim_slot t row in
-          (row * t.slots) + slot
-      in
-      if not t.valid.(idx) then t.occupied <- t.occupied + 1;
-      t.valid.(idx) <- true;
-      t.lut_ids.(idx) <- lut_id;
-      t.keys.(idx) <- key;
-      t.payloads.(idx) <- payload;
-      t.stamp.(idx) <- base_tick + i + 1)
+      let row = materialise t r in
+      let s, _evicted = slot_for row ~lut_id ~key in
+      write_entry t row s ~lut_id ~key ~payload ~stamp:(base_tick + i + 1))
     order;
   t.tick <- base_tick + n;
   (!amortised, !serial)

@@ -9,6 +9,11 @@
     [row_bytes / 16] of them and replacement is per-row FIFO with
     hole-filling.
 
+    Host storage is materialised per DRAM row on first write ({!insert},
+    {!restore_entry}, {!bulk_fill}): a row never written costs one pointer,
+    and probing it misses without allocating. {!capacity_entries} still
+    reports the full modelled capacity.
+
     Payload cells are split by criticality (PAPERS.md, Akiyama, arXiv
     2004.01637): the high [exact_high_bits] are stored in
     nominally-refreshed cells, the low bits in relaxed cells whose retention

@@ -155,6 +155,227 @@ let test_bulk_amortisation () =
       Alcotest.(check bool) (Printf.sprintf "bulk result %d" i) true (r <> None))
     results
 
+(* Rows are materialised on first write: an empty tier costs one pointer
+   per row, and one write costs about one row, never the whole tier. *)
+let test_memory_cost () =
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let before = live () in
+  let t = Dram.create Dram.default in
+  let created = live () in
+  Alcotest.(check bool)
+    (Printf.sprintf "empty tier: %d words for %d rows" (created - before) (Dram.rows t))
+    true
+    (created - before <= Dram.rows t + 64);
+  Dram.insert t ~lut_id:0 ~key:1L ~payload:2L;
+  let written = live () in
+  Alcotest.(check bool)
+    (Printf.sprintf "one insert: %d words for a %d-slot row" (written - created)
+       (Dram.slots_per_row t))
+    true
+    (written - created <= 8 * Dram.slots_per_row t);
+  Alcotest.(check int) "entry stored" 1 (Dram.occupancy (Sys.opaque_identity t))
+
+(* --- reference model ---------------------------------------------------- *)
+
+(* A list-based specification of the tier for a run without faults: each
+   row is a list of [slots] optional (lut_id, key, payload, stamp) entries
+   plus a FIFO cursor, and every public observation is recomputed from it. *)
+type model = {
+  m_rows : (int * int64 * int64 * int) option list array;
+  m_fifo : int array;
+  mutable m_tick : int;
+  mutable m_open : int;
+  mutable m_cycles : int;
+  mutable m_stats : Dram.stats;
+}
+
+type op =
+  | Insert of int * int64 * int64
+  | Lookup of int * int64
+  | Restore of int * int64 * int64
+  | Bulk_fill of (int * int64 * int64) list
+  | Invalidate_lut of int
+  | Invalidate_all
+
+let model_create cfg =
+  let rows = cfg.Dram.size_bytes / cfg.Dram.row_bytes in
+  let slots = cfg.Dram.row_bytes / 16 in
+  {
+    m_rows = Array.make rows (List.init slots (fun _ -> None));
+    m_fifo = Array.make rows 0;
+    m_tick = 0;
+    m_open = -1;
+    m_cycles = 0;
+    m_stats = Dram.zero_stats;
+  }
+
+let model_row m key =
+  Int64.to_int
+    (Int64.rem (Int64.logand key Int64.max_int) (Int64.of_int (Array.length m.m_rows)))
+
+let model_touch cfg m r =
+  let s = m.m_stats in
+  if m.m_open = r then begin
+    m.m_stats <- { s with row_hits = s.row_hits + 1 };
+    cfg.Dram.row_hit_cycles
+  end
+  else begin
+    m.m_open <- r;
+    m.m_stats <- { s with row_activations = s.row_activations + 1 };
+    cfg.Dram.activate_cycles + cfg.Dram.row_hit_cycles
+  end
+
+let index_where p l =
+  let rec go i = function [] -> None | x :: rest -> if p x then Some i else go (i + 1) rest in
+  go 0 l
+
+(* Per-row FIFO with hole-filling: refresh in place, else the first hole,
+   else the cursor's slot. Returns whether an entry was evicted. *)
+let model_write m r (l, k, p) =
+  m.m_tick <- m.m_tick + 1;
+  let row = m.m_rows.(r) in
+  let slot, evicted =
+    match index_where (function Some (l', k', _, _) -> l' = l && k' = k | None -> false) row with
+    | Some i -> (i, false)
+    | None -> (
+        match index_where Option.is_none row with
+        | Some i -> (i, false)
+        | None ->
+            let c = m.m_fifo.(r) in
+            m.m_fifo.(r) <- (c + 1) mod List.length row;
+            (c, true))
+  in
+  m.m_rows.(r) <- List.mapi (fun i e -> if i = slot then Some (l, k, p, m.m_tick) else e) row;
+  evicted
+
+(* Applies [op]; returns the lookup result (or bulk-fill counts) to compare. *)
+let model_apply cfg m op =
+  let count f = m.m_stats <- f m.m_stats in
+  match op with
+  | Insert (l, k, p) ->
+      count (fun s -> { s with inserts = s.inserts + 1 });
+      let r = model_row m k in
+      ignore (model_touch cfg m r : int);
+      if model_write m r (l, k, p) then
+        count (fun s -> { s with evictions = s.evictions + 1 });
+      `Unit
+  | Lookup (l, k) ->
+      let r = model_row m k in
+      m.m_cycles <- model_touch cfg m r;
+      let found =
+        List.find_map
+          (function Some (l', k', p, _) when l' = l && k' = k -> Some p | _ -> None)
+          m.m_rows.(r)
+      in
+      count (fun s ->
+          match found with
+          | Some _ -> { s with probes = s.probes + 1; hits = s.hits + 1 }
+          | None -> { s with probes = s.probes + 1; misses = s.misses + 1 });
+      `Lookup found
+  | Restore (l, k, p) ->
+      ignore (model_write m (model_row m k) (l, k, p) : bool);
+      `Unit
+  | Bulk_fill es ->
+      (* Specified as a serial replay; the counts are distinct rows touched
+         and row switches in input order. *)
+      let rows = List.map (fun (_, k, _) -> model_row m k) es in
+      List.iter (fun ((_, k, _) as e) -> ignore (model_write m (model_row m k) e : bool)) es;
+      let switches, _ =
+        List.fold_left (fun (n, prev) r -> ((if r <> prev then n + 1 else n), r)) (0, -1) rows
+      in
+      `Counts (List.length (List.sort_uniq compare rows), switches)
+  | Invalidate_lut l ->
+      count (fun s -> { s with invalidations = s.invalidations + 1 });
+      Array.iteri
+        (fun r row ->
+          m.m_rows.(r) <-
+            List.map (function Some (l', _, _, _) when l' = l -> None | e -> e) row)
+        m.m_rows;
+      `Unit
+  | Invalidate_all ->
+      Array.iteri (fun r row -> m.m_rows.(r) <- List.map (fun _ -> None) row) m.m_rows;
+      `Unit
+
+let dram_apply t op =
+  match op with
+  | Insert (l, k, p) -> Dram.insert t ~lut_id:l ~key:k ~payload:p; `Unit
+  | Lookup (l, k) -> `Lookup (Dram.lookup t ~lut_id:l ~key:k)
+  | Restore (l, k, p) -> Dram.restore_entry t ~lut_id:l ~key:k ~payload:p; `Unit
+  | Bulk_fill es ->
+      let a, s = Dram.bulk_fill t (Array.of_list es) in
+      `Counts (a, s)
+  | Invalidate_lut l -> Dram.invalidate_lut t ~lut_id:l; `Unit
+  | Invalidate_all -> Dram.invalidate_all t; `Unit
+
+(* Everything the tier exposes: (row, slot, stamp) enumeration order,
+   entries, occupancy, stats and the last probe's cost. *)
+let model_view m =
+  let slots =
+    List.concat
+      (List.mapi
+         (fun r row ->
+           List.concat
+             (List.mapi
+                (fun s -> function Some (_, _, _, st) -> [ (r, s, st) ] | None -> [])
+                row))
+         (Array.to_list m.m_rows))
+  in
+  let entries =
+    List.concat_map
+      (List.filter_map (Option.map (fun (l, k, p, _) -> (l, k, p))))
+      (Array.to_list m.m_rows)
+  in
+  (slots, entries, List.length entries, m.m_stats, m.m_cycles)
+
+let dram_view t =
+  let slots = ref [] in
+  Dram.iter_entries t (fun ~row ~slot ~lut_id:_ ~key:_ ~payload:_ ~stamp ->
+      slots := (row, slot, stamp) :: !slots);
+  (List.rev !slots, Dram.entries t, Dram.occupancy t, Dram.stats t, Dram.last_probe_cycles t)
+
+let op_gen =
+  let open QCheck.Gen in
+  (* 40 keys over 8 rows of 4 slots: rows fill, evict and refresh. *)
+  let entry = triple (int_range 0 2) (map Int64.of_int (int_range (-8) 31)) (map Int64.of_int int) in
+  frequency
+    [
+      (6, map (fun (l, k, p) -> Insert (l, k, p)) entry);
+      (6, map2 (fun l k -> Lookup (l, k)) (int_range 0 2) (map Int64.of_int (int_range (-8) 31)));
+      (2, map (fun (l, k, p) -> Restore (l, k, p)) entry);
+      (1, map (fun es -> Bulk_fill es) (list_size (int_range 0 12) entry));
+      (1, map (fun l -> Invalidate_lut l) (int_range 0 2));
+      (1, return Invalidate_all);
+    ]
+
+let show_op = function
+  | Insert (l, k, p) -> Printf.sprintf "insert %d %Ld %Ld" l k p
+  | Lookup (l, k) -> Printf.sprintf "lookup %d %Ld" l k
+  | Restore (l, k, p) -> Printf.sprintf "restore %d %Ld %Ld" l k p
+  | Bulk_fill es ->
+      Printf.sprintf "bulk_fill [%s]"
+        (String.concat "; " (List.map (fun (l, k, p) -> Printf.sprintf "%d %Ld %Ld" l k p) es))
+  | Invalidate_lut l -> Printf.sprintf "invalidate_lut %d" l
+  | Invalidate_all -> "invalidate_all"
+
+let dram_matches_model =
+  QCheck.Test.make ~name:"dram tier matches the list-based reference model" ~count:300
+    QCheck.(
+      make
+        ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+        ~shrink:Shrink.list
+        Gen.(list_size (int_range 1 120) op_gen))
+    (fun ops ->
+      let cfg = tiny ~rows:8 ~slots:4 () in
+      let t = Dram.create cfg and m = model_create cfg in
+      List.for_all
+        (fun op ->
+          let got = dram_apply t op and want = model_apply cfg m op in
+          got = want && dram_view t = model_view m)
+        ops)
+
 (* --- approximate payload (criticality split) ---------------------------- *)
 
 let l3_spec rate kind =
@@ -465,7 +686,7 @@ let test_warm_start_bad_file_rejected () =
 
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
-    [ sram_capture_fixpoint; dram_capture_fixpoint ]
+    [ sram_capture_fixpoint; dram_capture_fixpoint; dram_matches_model ]
 
 let () =
   Alcotest.run "tier"
@@ -476,6 +697,7 @@ let () =
           Alcotest.test_case "row-buffer pricing" `Quick test_row_buffer_pricing;
           Alcotest.test_case "insert/lookup/per-row FIFO" `Quick test_insert_lookup_fifo;
           Alcotest.test_case "bulk probe amortisation" `Quick test_bulk_amortisation;
+          Alcotest.test_case "rows materialised on first write" `Quick test_memory_cost;
         ] );
       ( "approx_payload",
         [
