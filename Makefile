@@ -8,35 +8,41 @@
 SMOKE_TIMEOUT ?= 900
 JOBS ?= 4
 
+# Per-stage wall-time ledger: a recipe wrapped as $(STAGE_START) <command>
+# $(STAGE_END) prints "stage <target> <seconds>" (whole seconds, POSIX shell
+# and date only) and keeps the command's exit status.
+STAGE_START = t0=$$(date +%s);
+STAGE_END = ; rc=$$?; echo "stage $@ $$(($$(date +%s) - t0))"; exit $$rc
+
 .PHONY: all build test smoke faults-smoke corun-smoke serve-smoke bench-serve tier-smoke cluster-smoke watch-smoke diff-gate check clean
 
 all: build
 
 build:
-	dune build
+	$(STAGE_START) dune build $(STAGE_END)
 
 test:
-	dune runtest
+	$(STAGE_START) dune runtest $(STAGE_END)
 
 smoke: build
-	timeout $(SMOKE_TIMEOUT) dune exec bench/main.exe -- --perf-smoke --jobs $(JOBS)
+	$(STAGE_START) timeout $(SMOKE_TIMEOUT) dune exec bench/main.exe -- --perf-smoke --jobs $(JOBS) $(STAGE_END)
 
 # Small fixed-seed campaign: one benchmark, two rates, all protections.
 # Exercises the injector, protection paths, and the resilience report
 # end to end in a few seconds; the report is uploaded as a CI artifact.
 faults-smoke: build
-	timeout $(SMOKE_TIMEOUT) dune exec bin/axmemo_cli.exe -- faults \
+	$(STAGE_START) timeout $(SMOKE_TIMEOUT) dune exec bin/axmemo_cli.exe -- faults \
 	  -b fft --sample --seed 1234 --rates 1e-3,1e-2 --jobs $(JOBS) \
-	  --quiet --metrics FAULTS_SMOKE.json
+	  --quiet --metrics FAULTS_SMOKE.json $(STAGE_END)
 
 # Small fixed-seed co-run matrix: two-workload mix over 1 and 2 cores, all
 # partitioning policies, fanned over the pool. Exercises the shared LUT,
 # arbitration, the scheduler and the bounded co-run report end to end; the
 # report is uploaded as a CI artifact.
 corun-smoke: build
-	timeout $(SMOKE_TIMEOUT) dune exec bin/axmemo_cli.exe -- corun \
+	$(STAGE_START) timeout $(SMOKE_TIMEOUT) dune exec bin/axmemo_cli.exe -- corun \
 	  -b blackscholes,sobel --sample --seed 1234 --cores 1,2 --requests 8 \
-	  --jobs $(JOBS) --quiet --metrics CORUN_SMOKE.json
+	  --jobs $(JOBS) --quiet --metrics CORUN_SMOKE.json $(STAGE_END)
 
 # Small fixed-seed open-loop service matrix: Poisson arrivals at two loads
 # over 1 and 2 cores into a bounded drop-tail queue. Exercises arrival
@@ -45,16 +51,16 @@ corun-smoke: build
 # the per-run simulator wall time so the gate also watches serve-path
 # throughput (with a loose tolerance).
 serve-smoke: build
-	timeout $(SMOKE_TIMEOUT) dune exec bin/axmemo_cli.exe -- serve \
+	$(STAGE_START) timeout $(SMOKE_TIMEOUT) dune exec bin/axmemo_cli.exe -- serve \
 	  -b blackscholes,sobel --sample --seed 1234 --cores 1,2 --requests 24 \
 	  --partition ffa --arrival poisson --load 0.8,2 --queue 4 \
-	  --jobs $(JOBS) --wall --quiet --metrics SERVE_SMOKE.json
+	  --jobs $(JOBS) --wall --quiet --metrics SERVE_SMOKE.json $(STAGE_END)
 
 # The offered-load ramp (bench experiment): saturation sweep over cores and
 # partition policies; writes BENCH_SERVE.json with no wall-clock fields, so
 # its gate is exact.
 bench-serve: build
-	timeout $(SMOKE_TIMEOUT) dune exec bench/main.exe -- serve --jobs $(JOBS)
+	$(STAGE_START) timeout $(SMOKE_TIMEOUT) dune exec bench/main.exe -- serve --jobs $(JOBS) $(STAGE_END)
 
 # Warm-restart smoke (bench experiment): a closed co-run with small SRAM
 # LUTs spills into the DRAM L3 tier, its LUT state is captured into
@@ -63,7 +69,7 @@ bench-serve: build
 # beat cold). Writes TIER_SMOKE.json with no wall-clock fields, so its gate
 # is exact.
 tier-smoke: build
-	timeout $(SMOKE_TIMEOUT) dune exec bench/main.exe -- tier --jobs $(JOBS)
+	$(STAGE_START) timeout $(SMOKE_TIMEOUT) dune exec bench/main.exe -- tier --jobs $(JOBS) $(STAGE_END)
 
 # Sharded-cluster smoke (bench experiment): the 1/2/4-node scale-out curve
 # on the blackscholes+sobel mix plus a kmeans directory-vs-broadcast twin.
@@ -73,7 +79,7 @@ tier-smoke: build
 # serial and parallel matrices. Writes CLUSTER_SMOKE.json with no
 # wall-clock fields, so its gate is exact.
 cluster-smoke: build
-	timeout $(SMOKE_TIMEOUT) dune exec bench/main.exe -- cluster --jobs $(JOBS)
+	$(STAGE_START) timeout $(SMOKE_TIMEOUT) dune exec bench/main.exe -- cluster --jobs $(JOBS) $(STAGE_END)
 
 # Live-timeline smoke (bench experiment): the blackscholes+sobel mix at
 # loads 0.5 and 2.0 with --watch on. The experiment exits nonzero unless
@@ -83,7 +89,7 @@ cluster-smoke: build
 # byte-identical between serial and parallel matrices. Writes
 # WATCH_SMOKE.json with no wall-clock fields, so its gate is exact.
 watch-smoke: build
-	timeout $(SMOKE_TIMEOUT) dune exec bench/main.exe -- watch --jobs $(JOBS)
+	$(STAGE_START) timeout $(SMOKE_TIMEOUT) dune exec bench/main.exe -- watch --jobs $(JOBS) $(STAGE_END)
 
 # Regression gate: every metric in the fresh smoke reports must match the
 # committed baseline exactly (the simulator is deterministic), with one

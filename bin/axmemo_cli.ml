@@ -288,13 +288,19 @@ let run_cmd =
       $ metrics_arg $ csv_arg $ chrome_trace_arg $ quiet_arg)
 
 let jobs_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Fan the simulation matrix over $(docv) worker domains (default: \
-           the host's recommended domain count).")
+  let check = function
+    | Some n when n < 1 -> die "--jobs must be at least 1 (got %d)" n
+    | jobs -> jobs
+  in
+  Term.(
+    const check
+    $ Arg.(
+        value
+        & opt (some int) None
+        & info [ "j"; "jobs" ] ~docv:"N"
+            ~doc:
+              "Fan the simulation matrix over $(docv) worker domains (default: \
+               the host's recommended domain count)."))
 
 let sweep_cmd =
   let doc = "Run every configuration over the suite (or one benchmark)." in
@@ -422,11 +428,19 @@ let of_string_conv ~what of_string name_of =
       fun ppf v -> Format.pp_print_string ppf (name_of v) )
 
 let rates_arg =
-  Arg.(
-    value
-    & opt (list float) [ 1e-4; 1e-3; 1e-2 ]
-    & info [ "rates" ] ~docv:"R,.."
-        ~doc:"Comma-separated fault rates to sweep (per access or per cycle).")
+  let check rates =
+    List.iter
+      (fun r -> if not (r >= 0.0 && r <= 1.0) then die "--rates must be within [0, 1] (got %g)" r)
+      rates;
+    rates
+  in
+  Term.(
+    const check
+    $ Arg.(
+        value
+        & opt (list float) [ 1e-4; 1e-3; 1e-2 ]
+        & info [ "rates" ] ~docv:"R,.."
+            ~doc:"Comma-separated fault rates to sweep (per access or per cycle), each in [0, 1]."))
 
 let fault_kind_arg =
   Arg.(

@@ -3,45 +3,53 @@ type t = { mutable data : Bytes.t; mutable brk : int; limit : int }
 let create ?(size_bytes = 512 * 1024 * 1024) () =
   { data = Bytes.make 4096 '\000'; brk = 0; limit = size_bytes }
 
-let ensure t upto =
-  if upto > Bytes.length t.data then begin
-    if upto > t.limit then
-      invalid_arg
-        (Printf.sprintf "Memory: out of memory (%d bytes requested, limit %d)" upto
-           t.limit);
-    (* Double for amortized growth, but never overshoot a large request:
-       a single huge allocation (e.g. a software-LUT table) should cost one
-       right-sized buffer, not the next power of two beyond it. *)
-    let old = Bytes.length t.data in
-    let n = min (max (old * 2) ((upto + 0xFFFF) land lnot 0xFFFF)) t.limit in
-    (* [Bytes.create] skips the memset; the old prefix is blitted over and
-       only the fresh tail needs explicit zeroing. *)
-    let fresh = Bytes.create n in
-    Bytes.blit t.data 0 fresh 0 old;
-    Bytes.fill fresh old (n - old) '\000';
-    t.data <- fresh
-  end
+let round_64k n = (n + 0xFFFF) land lnot 0xFFFF
+
+let out_of_memory t upto =
+  invalid_arg
+    (Printf.sprintf "Memory: out of memory (%d bytes requested, limit %d)" upto t.limit)
+
+(* Called when an access ending at [upto] falls past the buffer. Inside the
+   allocated range the buffer grows once, to the high-water mark rounded to
+   64 KiB, so a dataset reserved up front and then filled costs one
+   right-sized buffer. Beyond [brk] it doubles, and such reads return zero. *)
+let grow t upto =
+  if upto > t.limit then out_of_memory t upto;
+  let old = Bytes.length t.data in
+  let n =
+    if upto <= t.brk then min (round_64k t.brk) t.limit
+    else min (max (old * 2) (round_64k upto)) t.limit
+  in
+  (* [Bytes.create] skips the memset; the old prefix is blitted over and
+     only the fresh tail needs explicit zeroing. *)
+  let fresh = Bytes.create n in
+  Bytes.blit t.data 0 fresh 0 old;
+  Bytes.fill fresh old (n - old) '\000';
+  t.data <- fresh
+
+let[@inline] ensure t upto = if upto > Bytes.length t.data then grow t upto
 
 let alloc t ~bytes ~align =
   if align <= 0 || align land (align - 1) <> 0 then invalid_arg "Memory.alloc: align";
   let base = (t.brk + align - 1) land lnot (align - 1) in
-  t.brk <- base + bytes;
-  ensure t t.brk;
+  let brk = base + bytes in
+  if brk > t.limit then out_of_memory t brk;
+  t.brk <- brk;
   base
 
-let load_i32 t addr =
+let[@inline] load_i32 t addr =
   ensure t (addr + 4);
   Bytes.get_int32_le t.data addr
 
-let store_i32 t addr v =
+let[@inline] store_i32 t addr v =
   ensure t (addr + 4);
   Bytes.set_int32_le t.data addr v
 
-let load_i64 t addr =
+let[@inline] load_i64 t addr =
   ensure t (addr + 8);
   Bytes.get_int64_le t.data addr
 
-let store_i64 t addr v =
+let[@inline] store_i64 t addr v =
   ensure t (addr + 8);
   Bytes.set_int64_le t.data addr v
 

@@ -9,11 +9,19 @@ type t
 val create : ?size_bytes:int -> unit -> t
 (** [create ()] returns an empty memory; it grows on demand up to
     [size_bytes] (default 512 MiB — the software-LUT baselines allocate
-    multi-MB tables). *)
+    multi-MB tables).
+
+    Growth rule: {!alloc} only moves the allocator's high-water mark. The
+    first access past the current buffer but inside the allocated range
+    grows the buffer once, to the high-water mark rounded up to 64 KiB, so
+    reserving every region before filling any costs one right-sized buffer.
+    An access beyond the high-water mark doubles the buffer (at least to
+    cover the access); reads there return zero. *)
 
 val alloc : t -> bytes:int -> align:int -> int
-(** [alloc t ~bytes ~align] reserves a fresh region and returns its base
-    address, aligned to [align] (a power of two). *)
+(** [alloc t ~bytes ~align] reserves a fresh zero-filled region and returns
+    its base address, aligned to [align] (a power of two).
+    @raise Invalid_argument when the region would end past [size_bytes]. *)
 
 val load : t -> Ir.ty -> int -> Ir.value
 (** [load t ty addr] reads a value of type [ty] at [addr]. I32 loads are

@@ -71,13 +71,22 @@ let machine = Machine.hpi
    namespace. Each workload therefore gets its regions renumbered onto a
    disjoint id range (in mix order, region order preserved), which leaves a
    single-workload mix — and hence the 1-core Runner.run equivalence —
-   untouched, since every benchmark already numbers its regions 0..n-1. *)
+   untouched, since every benchmark already numbers its regions 0..n-1.
+   [make] is pure, so one probe instance per workload supplies the
+   renumbered regions and LUT declarations for the cluster's lifetime. *)
 type mix_entry = {
   wname : string;
   make : Workload.variant -> Workload.instance;
-  offset : int;
-  nregions : int;
+  regions : Transform.region list;  (* renumbered onto the mix namespace *)
+  decls : Memo_unit.lut_decl list;  (* LUT declarations for [regions] *)
 }
+
+let remap_regions ~offset regions =
+  if offset = 0 then regions
+  else
+    List.map
+      (fun (r : Transform.region) -> { r with Transform.lut_id = r.Transform.lut_id + offset })
+      regions
 
 let resolve_mix cfg =
   (match cfg.workloads with
@@ -91,10 +100,14 @@ let resolve_mix cfg =
         | None -> invalid_arg (Printf.sprintf "Corun: unknown benchmark %S" name)
         | Some (_meta, make) ->
             let probe = make cfg.variant in
-            let n = List.length probe.Workload.regions in
-            let e = { wname = name; make; offset = !next; nregions = n } in
-            next := !next + n;
-            e)
+            let regions = remap_regions ~offset:!next probe.Workload.regions in
+            next := !next + List.length regions;
+            {
+              wname = name;
+              make;
+              regions;
+              decls = Transform.lut_decls probe.Workload.program regions;
+            })
       cfg.workloads
   in
   if !next > 8 then
@@ -103,23 +116,6 @@ let resolve_mix cfg =
          "Corun: the workload mix needs %d logical LUTs but LUT_ID is 3 bits (max 8)"
          !next);
   mix
-
-let remap_regions ~offset regions =
-  if offset = 0 then regions
-  else
-    List.map
-      (fun (r : Transform.region) -> { r with Transform.lut_id = r.Transform.lut_id + offset })
-      regions
-
-(* The union of every workload's (renumbered) LUT declarations — what each
-   core's unit is built to serve. *)
-let mix_decls cfg mix =
-  List.concat_map
-    (fun e ->
-      let probe = e.make cfg.variant in
-      Transform.lut_decls probe.Workload.program
-        (remap_regions ~offset:e.offset probe.Workload.regions))
-    mix
 
 (* ---- cluster ---------------------------------------------------------- *)
 
@@ -156,22 +152,21 @@ type l2_port_maker =
 (* Every core serves the whole mix's LUT namespace, so every collector is
    declared over the same remapped region list — which is what lets the
    per-core snapshots merge into one cluster profile. *)
-let mix_regions cfg mix =
+let mix_regions mix =
   List.concat_map
     (fun e ->
-      let probe = e.make cfg.variant in
-      List.map
-        (fun (r : Transform.region) -> (r.Transform.kernel, r.Transform.lut_id + e.offset))
-        probe.Workload.regions)
+      List.map (fun (r : Transform.region) -> (r.Transform.kernel, r.Transform.lut_id)) e.regions)
     mix
 
 let create_cluster ?(metrics = false) ?(profile = false) ?l2_port ?on_invalidate cfg =
   if cfg.ncores < 1 then invalid_arg "Corun: need at least one core";
   let mix = resolve_mix cfg in
-  let decls = mix_decls cfg mix in
+  (* The union of every workload's (renumbered) LUT declarations — what each
+     core's unit is built to serve. *)
+  let decls = List.concat_map (fun e -> e.decls) mix in
   let profiles =
     if profile then
-      let regions = mix_regions cfg mix in
+      let regions = mix_regions mix in
       Some (Array.init cfg.ncores (fun _ -> Profile.create ~regions))
     else None
   in
@@ -409,10 +404,9 @@ let exec_request cluster ~workload ~core ~start =
   let cfg = cluster.cfg in
   let c = cluster.cores.(core) in
   let instance = entry.make cfg.variant in
-  let regions = remap_regions ~offset:entry.offset instance.Workload.regions in
   let program =
     Transform.memoize ?barrier:instance.Workload.barrier ~entry:instance.Workload.entry
-      instance.Workload.program regions
+      instance.Workload.program entry.regions
   in
   let program =
     if cfg.retain_luts then

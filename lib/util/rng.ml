@@ -1,23 +1,30 @@
-type t = { mutable state : int64 }
+(* The 64-bit splitmix state lives unboxed in an 8-byte buffer: reading and
+   writing it with [Bytes.get/set_int64_ne] keeps every intermediate int64 in
+   a register, so a draw allocates nothing beyond a boxed float result. *)
+type t = Bytes.t
 
-let create seed = { state = seed }
+let create seed =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 seed;
+  t
 
 let golden = 0x9E3779B97F4A7C15L
 
-let next_state t =
-  t.state <- Int64.add t.state golden;
-  t.state
+let[@inline] next_state t =
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden in
+  Bytes.set_int64_ne t 0 s;
+  s
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let int64 t = mix (next_state t)
+let[@inline] int64 t = mix (next_state t)
 
 let split t = create (int64 t)
 
-let copy t = { state = t.state }
+let copy = Bytes.copy
 
 let bits32 t = Int64.to_int32 (Int64.shift_right_logical (int64 t) 32)
 
@@ -29,21 +36,18 @@ let int t bound =
   let v = Int64.to_int (Int64.shift_right_logical (int64 t) 2) in
   v mod bound
 
-let float t bound =
+let[@inline] float t bound =
   let v = Int64.to_float (Int64.shift_right_logical (int64 t) 11) in
   v /. 9007199254740992.0 *. bound
 
 let uniform t lo hi = lo +. float t (hi -. lo)
 
-let gaussian t ~mean ~stddev =
-  let rec draw () =
-    let u1 = float t 1.0 in
-    if u1 <= 1e-300 then draw ()
-    else
-      let u2 = float t 1.0 in
-      mean +. (stddev *. sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2))
-  in
-  draw ()
+let rec gaussian t ~mean ~stddev =
+  let u1 = float t 1.0 in
+  if u1 <= 1e-300 then gaussian t ~mean ~stddev
+  else
+    let u2 = float t 1.0 in
+    mean +. (stddev *. sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2))
 
 let bool t = Int64.logand (int64 t) 1L = 1L
 

@@ -6,7 +6,10 @@
     trivially splittable. *)
 
 type t
-(** Mutable generator state. *)
+(** Mutable generator state. The 64-bit state is held unboxed, so a draw
+    allocates nothing itself: [int64] returns a boxed result unless the
+    call is inlined, [float]/[uniform] allocate only their boxed float
+    result, and [int]/[bool] allocate nothing. *)
 
 val create : int64 -> t
 (** [create seed] returns a fresh generator seeded with [seed]. Two generators

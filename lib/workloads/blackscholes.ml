@@ -122,10 +122,13 @@ let build_main n =
 
 let round_f32 x = Int32.float_of_bits (Int32.bits_of_float x)
 
-let generate_options rng ~distinct ~total =
-  let tuple _ =
+let moneyness = [| 0.8; 0.9; 0.95; 1.0; 1.05; 1.1; 1.25 |]
+
+(* [total] options drawn from a pool of [distinct] records, written as
+   packed six-f32 records from [base]. *)
+let fill_options rng mem ~base ~distinct ~total =
+  let record _ =
     let s = 20.0 +. (5.0 *. float_of_int (Rng.int rng 17)) in
-    let moneyness = [| 0.8; 0.9; 0.95; 1.0; 1.05; 1.1; 1.25 |] in
     let strike = s *. Rng.choose rng moneyness in
     let rate = 0.01 *. float_of_int (1 + Rng.int rng 8) in
     let vol = 0.05 *. float_of_int (2 + Rng.int rng 10) in
@@ -133,8 +136,10 @@ let generate_options rng ~distinct ~total =
     let otype = if Rng.bool rng then 1.0 else 0.0 in
     [| round_f32 s; round_f32 strike; round_f32 rate; round_f32 vol; round_f32 time; otype |]
   in
-  let pool = Array.init distinct tuple in
-  Array.init total (fun _ -> Rng.choose rng pool)
+  let pool = Array.init distinct record in
+  for i = 0 to total - 1 do
+    Workload.write_f32s mem ~base:(base + (24 * i)) (Rng.choose rng pool)
+  done
 
 let make (variant : Workload.variant) : Workload.instance =
   let seed, distinct, total =
@@ -143,11 +148,10 @@ let make (variant : Workload.variant) : Workload.instance =
     | Eval -> (42L, 200, 20_000)
   in
   let rng = Rng.create (Rng.derive_stream seed) in
-  let options = generate_options rng ~distinct ~total in
   let mem = Memory.create () in
-  let flat = Array.concat (Array.to_list options) in
-  let in_base = Workload.alloc_f32s mem flat in
-  let out_base = Workload.alloc_f32_zeros mem total in
+  let in_base = Workload.reserve_f32s mem (6 * total) in
+  let out_base = Workload.reserve_f32s mem total in
+  fill_options rng mem ~base:in_base ~distinct ~total;
   let program =
     Workload.program_with_math [ build_main total; build_kernel (); build_cndf () ]
   in

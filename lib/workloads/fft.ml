@@ -103,16 +103,15 @@ let make (variant : Workload.variant) : Workload.instance =
   let seed, log2n = match variant with Sample -> (3L, 10) | Eval -> (29L, 12) in
   let n = 1 lsl log2n in
   let rng = Rng.create (Rng.derive_stream seed) in
-  (* A multi-tone signal with additive noise. *)
-  let re =
-    Array.init n (fun i ->
-        let t = float_of_int i in
-        sin (t /. 7.0) +. (0.5 *. sin (t /. 23.0)) +. Rng.gaussian rng ~mean:0.0 ~stddev:0.1)
-  in
-  let im = Array.make n 0.0 in
   let mem = Memory.create () in
-  let re_base = Workload.alloc_f32s mem re in
-  let im_base = Workload.alloc_f32s mem im in
+  let re_base = Workload.reserve_f32s mem n in
+  let im_base = Workload.reserve_f32s mem n in
+  (* A multi-tone signal with additive noise; the imaginary part is zero. *)
+  for i = 0 to n - 1 do
+    let t = float_of_int i in
+    Memory.store_f32 mem (re_base + (4 * i))
+      (sin (t /. 7.0) +. (0.5 *. sin (t /. 23.0)) +. Rng.gaussian rng ~mean:0.0 ~stddev:0.1)
+  done;
   let program = Workload.program_with_math [ build_main ~n ~log2n; build_kernel () ] in
   {
     meta;

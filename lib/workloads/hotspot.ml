@@ -99,11 +99,18 @@ let make (variant : Workload.variant) : Workload.instance =
   let rng = Rng.create (Rng.derive_stream seed) in
   let n = side * side in
   let power = generate_power rng ~side in
-  let temp = Array.init n (fun i -> 65.0 +. (10.0 *. power.(i))) in
   let mem = Memory.create () in
-  let t_a = Workload.alloc_f32s mem temp in
-  let t_b = Workload.alloc_f32s mem temp in
-  let p_base = Workload.alloc_f32s mem power in
+  let t_a = Workload.reserve_f32s mem n in
+  let t_b = Workload.reserve_f32s mem n in
+  let p_base = Workload.reserve_f32s mem n in
+  (* Both temperature buffers start from the same field. *)
+  Array.iteri
+    (fun i p ->
+      let temp = 65.0 +. (10.0 *. p) in
+      Memory.store_f32 mem (t_a + (4 * i)) temp;
+      Memory.store_f32 mem (t_b + (4 * i)) temp)
+    power;
+  Workload.write_f32s mem ~base:p_base power;
   let program = Workload.program_with_math [ build_main ~side ~iters; build_kernel () ] in
   (* After an even number of swaps the final field is back in buffer A; read
      whichever buffer holds the last write. *)

@@ -10,8 +10,3 @@ val l1 : float
 
 val l2 : float
 (** Second link length (mm). *)
-
-val generate_targets :
-  Axmemo_util.Rng.t -> poses:int -> total:int -> (float * float) array
-(** Dataset generator, exposed so tests can replay the evaluation inputs and
-    check forward(inverse(x, y)) = (x, y). *)

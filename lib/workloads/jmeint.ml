@@ -125,16 +125,16 @@ let build_main n =
   B.ret b [];
   B.finish b
 
-let generate_pairs rng n =
-  Array.init (n * 18) (fun _ -> Rng.uniform rng (-1.0) 1.0)
-
 let make (variant : Workload.variant) : Workload.instance =
   let seed, total = match variant with Sample -> (61L, 2_000) | Eval -> (67L, 10_000) in
   let rng = Rng.create (Rng.derive_stream seed) in
-  let coords = generate_pairs rng total in
   let mem = Memory.create () in
-  let in_base = Workload.alloc_f32s mem coords in
-  let out_base = Workload.alloc_f32_zeros mem total in
+  let in_base = Workload.reserve_f32s mem (18 * total) in
+  let out_base = Workload.reserve_f32s mem total in
+  (* Triangle pairs: 18 uniform coordinates each. *)
+  for i = 0 to (18 * total) - 1 do
+    Memory.store_f32 mem (in_base + (4 * i)) (Rng.uniform rng (-1.0) 1.0)
+  done;
   let program = Workload.program_with_math [ build_main total; build_kernel () ] in
   {
     meta;

@@ -179,26 +179,27 @@ let build_main ~side ~tmp_base ~qtable_base =
 
 (* Synthetic photographic image: smooth luminance plus mild texture,
    quantized to 8-bit levels as any decoded image would be. *)
-let generate_image rng ~side =
-  Array.init (side * side) (fun i ->
-      let x = i mod side and y = i / side in
-      let base =
-        128.0
-        +. (50.0 *. sin (float_of_int x /. 21.0))
-        +. (40.0 *. cos (float_of_int y /. 17.0))
-      in
-      let texture = 8.0 *. Rng.gaussian rng ~mean:0.0 ~stddev:0.3 in
-      int_of_float (Float.max 0.0 (Float.min 255.0 (base +. texture))))
+let fill_image rng mem ~base ~side =
+  let col = Array.init side (fun x -> 50.0 *. sin (float_of_int x /. 21.0)) in
+  let row = Array.init side (fun y -> 40.0 *. cos (float_of_int y /. 17.0)) in
+  for i = 0 to (side * side) - 1 do
+    let base_level = 128.0 +. col.(i mod side) +. row.(i / side) in
+    let texture = 8.0 *. Rng.gaussian rng ~mean:0.0 ~stddev:0.3 in
+    let v = int_of_float (Float.max 0.0 (Float.min 255.0 (base_level +. texture))) in
+    Memory.store_i32 mem (base + (4 * i)) (Int32.of_int v)
+  done
 
 let make (variant : Workload.variant) : Workload.instance =
   let seed, side = match variant with Sample -> (71L, 64) | Eval -> (73L, 128) in
   let rng = Rng.create (Rng.derive_stream seed) in
-  let img = generate_image rng ~side in
   let mem = Memory.create () in
-  let img_base = Workload.alloc_i32s mem img in
-  let out_base = Workload.alloc_f32_zeros mem (side * side) in
-  let tmp_base = Workload.alloc_f32_zeros mem 64 in
-  let qtable_base = Workload.alloc_f32s mem (Array.map float_of_int qtable) in
+  (* 8-bit pixels as i32s: the same 4-byte slots as f32s. *)
+  let img_base = Workload.reserve_f32s mem (side * side) in
+  let out_base = Workload.reserve_f32s mem (side * side) in
+  let tmp_base = Workload.reserve_f32s mem 64 in
+  let qtable_base = Workload.reserve_f32s mem (Array.length qtable) in
+  fill_image rng mem ~base:img_base ~side;
+  Workload.write_f32s mem ~base:qtable_base (Array.map float_of_int qtable);
   let program =
     Workload.program_with_math
       [ build_main ~side ~tmp_base ~qtable_base; build_kernel_a (); build_kernel_b () ]

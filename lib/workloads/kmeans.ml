@@ -120,38 +120,36 @@ let build_main ~n ~iters ~centroid_base ~sums_base ~counts_base =
   B.ret b [];
   B.finish b
 
+let tones = [| (0.9, 0.25, 0.2); (0.25, 0.8, 0.3); (0.2, 0.3, 0.9); (0.85, 0.8, 0.25) |]
+
 (* Colour image built from one gently-sloped luminance field modulating a
    handful of region colours: pixels of a region share a truncation cell per
    channel, as flat areas of photographs do. *)
-let generate_pixels rng ~side =
+let fill_pixels rng mem ~base ~side =
   let luma = Workload.synth_image rng ~width:side ~height:side ~tones:10 ~slope:0.04 () in
-  let tones =
-    [| (0.9, 0.25, 0.2); (0.25, 0.8, 0.3); (0.2, 0.3, 0.9); (0.85, 0.8, 0.25) |]
-  in
-  Array.map
-    (fun l ->
+  Array.iteri
+    (fun i l ->
       let r, g, b = tones.(int_of_float (l /. 48.0) mod Array.length tones) in
-      (l *. r, l *. g, l *. b))
+      let a = base + (12 * i) in
+      Memory.store_f32 mem a (l *. r);
+      Memory.store_f32 mem (a + 4) (l *. g);
+      Memory.store_f32 mem (a + 8) (l *. b))
     luma
 
 let make (variant : Workload.variant) : Workload.instance =
   let seed, side, iters = match variant with Sample -> (13L, 48, 4) | Eval -> (31L, 96, 6) in
   let n = side * side in
   let rng = Rng.create (Rng.derive_stream seed) in
-  let pixels = generate_pixels rng ~side in
   let mem = Memory.create () in
-  let flat =
-    Array.concat (Array.to_list (Array.map (fun (r, g, b) -> [| r; g; b |]) pixels))
-  in
-  let img_base = Workload.alloc_f32s mem flat in
-  let init_centroids =
-    [| 30.0; 30.0; 30.0; 200.0; 40.0; 40.0; 40.0; 200.0; 40.0; 40.0; 40.0; 200.0 |]
-  in
-  let centroid_base = Workload.alloc_f32s mem init_centroids in
-  let sums_base = Workload.alloc_f32_zeros mem (3 * k_clusters) in
-  let counts_base = Workload.alloc_f32_zeros mem k_clusters in
-  let assign_base = Workload.alloc_f32_zeros mem n in
-  let out_base = Workload.alloc_f32_zeros mem (3 * n) in
+  let img_base = Workload.reserve_f32s mem (3 * n) in
+  let centroid_base = Workload.reserve_f32s mem (3 * k_clusters) in
+  let sums_base = Workload.reserve_f32s mem (3 * k_clusters) in
+  let counts_base = Workload.reserve_f32s mem k_clusters in
+  let assign_base = Workload.reserve_f32s mem n in
+  let out_base = Workload.reserve_f32s mem (3 * n) in
+  fill_pixels rng mem ~base:img_base ~side;
+  Workload.write_f32s mem ~base:centroid_base
+    [| 30.0; 30.0; 30.0; 200.0; 40.0; 40.0; 40.0; 200.0; 40.0; 40.0; 40.0; 200.0 |];
   let program =
     Workload.program_with_math
       [

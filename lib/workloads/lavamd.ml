@@ -83,9 +83,9 @@ let build_main ~n_particles =
 
 (* Crystal lattice: positions are integer multiples of the lattice constant,
    so displacement vectors repeat across particle pairs exactly. *)
-let generate_particles rng ~boxes_per_side ~per_box =
+let fill_particles rng mem ~pos_base ~q_base ~boxes_per_side ~per_box =
   let lattice = 0.25 in
-  let pts = ref [] in
+  let i = ref 0 in
   for bx = 0 to boxes_per_side - 1 do
     for by = 0 to boxes_per_side - 1 do
       for bz = 0 to boxes_per_side - 1 do
@@ -95,28 +95,28 @@ let generate_particles rng ~boxes_per_side ~per_box =
           let y = (float_of_int by) +. cell () in
           let z = (float_of_int bz) +. cell () in
           let q = float_of_int (1 + Rng.int rng 3) *. 0.5 in
-          pts := (x, y, z, q) :: !pts
+          let a = pos_base + (12 * !i) in
+          Memory.store_f32 mem a x;
+          Memory.store_f32 mem (a + 4) y;
+          Memory.store_f32 mem (a + 8) z;
+          Memory.store_f32 mem (q_base + (4 * !i)) q;
+          incr i
         done
       done
     done
-  done;
-  Array.of_list (List.rev !pts)
+  done
 
 let make (variant : Workload.variant) : Workload.instance =
   let seed, boxes_per_side, per_box =
     match variant with Sample -> (41L, 2, 10) | Eval -> (43L, 2, 24)
   in
   let rng = Rng.create (Rng.derive_stream seed) in
-  let particles = generate_particles rng ~boxes_per_side ~per_box in
-  let n = Array.length particles in
+  let n = boxes_per_side * boxes_per_side * boxes_per_side * per_box in
   let mem = Memory.create () in
-  let pos =
-    Array.concat (Array.to_list (Array.map (fun (x, y, z, _) -> [| x; y; z |]) particles))
-  in
-  let qs = Array.map (fun (_, _, _, q) -> q) particles in
-  let pos_base = Workload.alloc_f32s mem pos in
-  let q_base = Workload.alloc_f32s mem qs in
-  let force_base = Workload.alloc_f32_zeros mem (3 * n) in
+  let pos_base = Workload.reserve_f32s mem (3 * n) in
+  let q_base = Workload.reserve_f32s mem n in
+  let force_base = Workload.reserve_f32s mem (3 * n) in
+  fill_particles rng mem ~pos_base ~q_base ~boxes_per_side ~per_box;
   let program = Workload.program_with_math [ build_main ~n_particles:n; build_kernel () ] in
   {
     meta;

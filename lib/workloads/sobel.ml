@@ -95,8 +95,9 @@ let make (variant : Workload.variant) : Workload.instance =
   let rng = Rng.create (Rng.derive_stream seed) in
   let img = Workload.synth_image rng ~width ~height ~tones:14 ~slope:0.05 () in
   let mem = Memory.create () in
-  let in_base = Workload.alloc_f32s mem img in
-  let out_base = Workload.alloc_f32_zeros mem (width * height) in
+  let in_base = Workload.reserve_f32s mem (width * height) in
+  let out_base = Workload.reserve_f32s mem (width * height) in
+  Workload.write_f32s mem ~base:in_base img;
   let program = Workload.program_with_math [ build_main ~width ~height; build_kernel () ] in
   {
     meta;

@@ -133,12 +133,12 @@ let make (variant : Workload.variant) : Workload.instance =
   let img =
     Workload.synth_image rng ~width:side ~height:side ~tones:6 ~slope:1.0
       ~speckle_fraction:0.03 ~speckle_sigma:5.0 ()
-    |> Array.map (fun v -> Float.max 8.0 v)
   in
   let mem = Memory.create () in
-  let j_base = Workload.alloc_f32s mem img in
-  let c_base = Workload.alloc_f32_zeros mem (side * side) in
-  let stats_base = Workload.alloc_f32_zeros mem 4 in
+  let j_base = Workload.reserve_f32s mem (side * side) in
+  let c_base = Workload.reserve_f32s mem (side * side) in
+  let stats_base = Workload.reserve_f32s mem 4 in
+  Array.iteri (fun i v -> Memory.store_f32 mem (j_base + (4 * i)) (Float.max 8.0 v)) img;
   let program =
     Workload.program_with_math [ build_main ~side ~iters ~stats_base; build_kernel () ]
   in

@@ -67,17 +67,12 @@ let element_errors ~reference ~approx =
   | Floats _, Bools _ | Bools _, Floats _ ->
       invalid_arg "Workload.element_errors: output shape mismatch"
 
-let alloc_f32s mem data =
-  let base = Memory.alloc mem ~bytes:(4 * Array.length data) ~align:64 in
-  Array.iteri (fun i v -> Memory.store_f32 mem (base + (4 * i)) v) data;
-  base
+let reserve_f32s mem n = Memory.alloc mem ~bytes:(4 * n) ~align:64
 
-let alloc_f32_zeros mem n = Memory.alloc mem ~bytes:(4 * n) ~align:64
-
-let alloc_i32s mem data =
-  let base = Memory.alloc mem ~bytes:(4 * Array.length data) ~align:64 in
-  Array.iteri (fun i v -> Memory.store_i32 mem (base + (4 * i)) (Int32.of_int v)) data;
-  base
+let write_f32s mem ~base data =
+  for i = 0 to Array.length data - 1 do
+    Memory.store_f32 mem (base + (4 * i)) data.(i)
+  done
 
 let read_f32s mem ~base ~count = Array.init count (fun i -> Memory.load_f32 mem (base + (4 * i)))
 
@@ -117,7 +112,8 @@ let synth_image rng ~width ~height ?(tones = 12) ?(slope = 0.05) ?(speckle_fract
         if Rng.float rng 1.0 < speckle_fraction then
           img.(i) <- v +. Rng.gaussian rng ~mean:0.0 ~stddev:speckle_sigma)
       img;
-  Array.map (fun v -> Float.max 0.0 (Float.min 255.0 v)) img
+  Array.iteri (fun i v -> img.(i) <- Float.max 0.0 (Float.min 255.0 v)) img;
+  img
 
 let program_with_math funcs =
   let program =

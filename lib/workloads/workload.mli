@@ -52,14 +52,22 @@ val quality_loss : reference:outputs -> approx:outputs -> float
 val element_errors : reference:outputs -> approx:outputs -> float array
 (** Element-wise relative errors (0/1 for booleans), for the Figure 10b CDF. *)
 
-(** {1 Memory helpers for dataset setup} *)
+(** {1 Memory helpers for dataset setup}
 
-val alloc_f32s : Axmemo_ir.Memory.t -> float array -> int
-(** Allocate and fill an f32 array; returns the base address. *)
+    A generator reserves every region first, in a fixed order, and only then
+    fills the regions in place, so the addresses are fixed by the reservation
+    order alone and {!Axmemo_ir.Memory} grows its buffer once, to the final
+    high-water mark. The random draws are part of the dataset: a generator
+    must draw the same numbers in the same order (mind that OCaml evaluates
+    tuple components and function arguments right to left), or every
+    simulated number downstream changes. *)
 
-val alloc_f32_zeros : Axmemo_ir.Memory.t -> int -> int
+val reserve_f32s : Axmemo_ir.Memory.t -> int -> int
+(** [reserve_f32s mem n] reserves [n] zeroed f32 slots, 64-byte aligned, and
+    returns the base address. *)
 
-val alloc_i32s : Axmemo_ir.Memory.t -> int array -> int
+val write_f32s : Axmemo_ir.Memory.t -> base:int -> float array -> unit
+(** [write_f32s mem ~base data] stores [data] as consecutive f32s. *)
 
 val read_f32s : Axmemo_ir.Memory.t -> base:int -> count:int -> float array
 val read_i32s : Axmemo_ir.Memory.t -> base:int -> count:int -> int array

@@ -31,6 +31,62 @@ let test_rng_split_independent () =
   let b = Rng.split a in
   Alcotest.(check bool) "split stream differs" false (Rng.int64 a = Rng.int64 b)
 
+(* Golden streams for seed 42, captured before the generator state was
+   unboxed: a changed mixer, draw order or float conversion fails here. *)
+let golden_first8 draw =
+  let r = Rng.create 42L in
+  List.init 8 (fun _ -> draw r)
+
+let float_bits f = Int64.bits_of_float f
+
+let test_rng_golden_streams () =
+  let i64 = Alcotest.(list int64) in
+  check i64 "int64"
+    [ 0xbdd732262feb6e95L; 0x28efe333b266f103L; 0x47526757130f9f52L;
+      0x581ce1ff0e4ae394L; 0x9bc585a244823f2L; 0xde4431fa3c80db06L;
+      0x37e9671c45376d5dL; 0xccf635ee9e9e2fa4L ]
+    (golden_first8 Rng.int64);
+  check Alcotest.(list int) "int"
+    [ 0xee32994; 0x33d3ef9d; 0x744b994; 0x38d4c21c; 0x1258c8bf; 0x171d0f8e;
+      0x893a22a; 0x35b5c2d6 ]
+    (golden_first8 (fun r -> Rng.int r 1_000_000_007));
+  check i64 "float"
+    [ 0x3fe7bae644c5fd6dL; 0x3fc477f199d93378L; 0x3fd1d499d5c4c3e6L;
+      0x3fd607387fc392b8L; 0x3fa378b0b4489040L; 0x3febc8863f47901bL;
+      0x3fcbf4b38e229bb4L; 0x3fe99ec6bdd3d3c5L ]
+    (golden_first8 (fun r -> float_bits (Rng.float r 1.0)));
+  check i64 "uniform"
+    [ 0x400775cc898bfadaL; 0xbffb880e6626cc88L; 0xbfe8ad98a8ecf068L;
+      0xbfcf8c7803c6d480L; 0xc00590e9e976edf8L; 0x400f910c7e8f2036L;
+      0xbff40b4c71dd644cL; 0x400b3d8d7ba7a78aL ]
+    (golden_first8 (fun r -> float_bits (Rng.uniform r (-3.0) 5.0)));
+  check i64 "gaussian"
+    [ 0x3ffd45625aa37a84L; 0xbfe914a9e9d234f8L; 0x4011d634e6a0a160L;
+      0x4000badc7e96f45dL; 0xbff292be307a643aL; 0xc00476296a7a60e6L;
+      0xbff4a8e7fb2da2a2L; 0x3ff8559c5e7688b4L ]
+    (golden_first8 (fun r -> float_bits (Rng.gaussian r ~mean:1.0 ~stddev:2.0)));
+  check Alcotest.(list int32) "bits32"
+    [ 0xbdd73226l; 0x28efe333l; 0x47526757l; 0x581ce1ffl; 0x9bc585al;
+      0xde4431fal; 0x37e9671cl; 0xccf635eel ]
+    (golden_first8 Rng.bits32);
+  check Alcotest.(list bool) "bool"
+    [ true; true; false; false; false; false; true; false ]
+    (golden_first8 Rng.bool)
+
+(* The generator state is unboxed: a draw allocates only its boxed float
+   result (two words), against ~12 words when the state was a boxed int64. *)
+let test_rng_float_alloc () =
+  let r = Rng.create 9L in
+  let draws = 100_000 in
+  Gc.full_major ();
+  let before = Gc.minor_words () in
+  for _ = 1 to draws do
+    ignore (Sys.opaque_identity (Rng.float r 1.0))
+  done;
+  let per_draw = (Gc.minor_words () -. before) /. float_of_int draws in
+  Alcotest.(check bool) (Printf.sprintf "%.2f minor words per draw" per_draw) true
+    (per_draw <= 3.0)
+
 let test_rng_int_bounds () =
   let r = Rng.create 3L in
   for _ = 1 to 1000 do
@@ -345,6 +401,8 @@ let () =
           Alcotest.test_case "gaussian moments" `Quick test_rng_gaussian_moments;
           Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
           Alcotest.test_case "choose empty" `Quick test_rng_choose_empty;
+          Alcotest.test_case "golden streams" `Quick test_rng_golden_streams;
+          Alcotest.test_case "float allocation" `Quick test_rng_float_alloc;
         ] );
       ( "bits",
         [
