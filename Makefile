@@ -1,9 +1,9 @@
 # Developer entry points. `make check` is the one-stop gate: full build,
-# test suite, the perf smoke, bounded fault-injection, multi-core co-run,
-# open-loop serve, tiered-storage warm-restart, sharded-cluster and
-# live-timeline/alerting smokes (all under timeouts so a hung pool cannot
-# wedge CI), and the diff gate comparing each smoke report against its
-# committed baseline snapshot.
+# test suite, the perf smoke, bounded fault-injection, multi-core co-run
+# (smoke and Eval matrix), open-loop serve, tiered-storage warm-restart,
+# sharded-cluster and live-timeline/alerting smokes (all under timeouts so a
+# hung pool cannot wedge CI), and the diff gate comparing each smoke report
+# against its committed baseline snapshot.
 
 SMOKE_TIMEOUT ?= 900
 JOBS ?= 4
@@ -14,7 +14,7 @@ JOBS ?= 4
 STAGE_START = t0=$$(date +%s);
 STAGE_END = ; rc=$$?; echo "stage $@ $$(($$(date +%s) - t0))"; exit $$rc
 
-.PHONY: all build test smoke faults-smoke corun-smoke serve-smoke bench-serve tier-smoke cluster-smoke watch-smoke diff-gate check clean
+.PHONY: all build test smoke faults-smoke corun-smoke bench-corun serve-smoke bench-serve tier-smoke cluster-smoke watch-smoke diff-gate check clean
 
 all: build
 
@@ -43,6 +43,13 @@ corun-smoke: build
 	$(STAGE_START) timeout $(SMOKE_TIMEOUT) dune exec bin/axmemo_cli.exe -- corun \
 	  -b blackscholes,sobel --sample --seed 1234 --cores 1,2 --requests 8 \
 	  --jobs $(JOBS) --quiet --metrics CORUN_SMOKE.json $(STAGE_END)
+
+# The co-run matrix (bench experiment): the fft+sobel mix on Eval inputs
+# over 1, 2 and 4 cores and all three partitioning policies. Writes
+# BENCH_CORUN.json (cluster registries only) with no wall-clock fields, so
+# its gate is exact.
+bench-corun: build
+	$(STAGE_START) timeout $(SMOKE_TIMEOUT) dune exec bench/main.exe -- corun --jobs $(JOBS) $(STAGE_END)
 
 # Small fixed-seed open-loop service matrix: Poisson arrivals at two loads
 # over 1 and 2 cores into a bounded drop-tail queue. Exercises arrival
@@ -97,14 +104,15 @@ watch-smoke: build
 # loose tolerance — wide enough not to flap on machine noise, tight enough
 # to catch an order-of-magnitude simulator-throughput regression. A
 # legitimate perf or model change updates the snapshot in the same PR:
-#   cp BENCH_PR1.json FAULTS_SMOKE.json CORUN_SMOKE.json SERVE_SMOKE.json \
-#      BENCH_SERVE.json TIER_SMOKE.json CLUSTER_SMOKE.json WATCH_SMOKE.json \
-#      bench/baselines/
-diff-gate: smoke faults-smoke corun-smoke serve-smoke bench-serve tier-smoke cluster-smoke watch-smoke
+#   cp BENCH_PR1.json FAULTS_SMOKE.json CORUN_SMOKE.json BENCH_CORUN.json \
+#      SERVE_SMOKE.json BENCH_SERVE.json TIER_SMOKE.json CLUSTER_SMOKE.json \
+#      WATCH_SMOKE.json bench/baselines/
+diff-gate: smoke faults-smoke corun-smoke bench-corun serve-smoke bench-serve tier-smoke cluster-smoke watch-smoke
 	dune exec bin/axmemo_cli.exe -- diff bench/baselines/BENCH_PR1.json BENCH_PR1.json \
 	  --tol "summary.sim_wall_seconds=3:0.5" --gate --quiet
 	dune exec bin/axmemo_cli.exe -- diff bench/baselines/FAULTS_SMOKE.json FAULTS_SMOKE.json --gate --quiet
 	dune exec bin/axmemo_cli.exe -- diff bench/baselines/CORUN_SMOKE.json CORUN_SMOKE.json --gate --quiet
+	dune exec bin/axmemo_cli.exe -- diff bench/baselines/BENCH_CORUN.json BENCH_CORUN.json --gate --quiet
 	dune exec bin/axmemo_cli.exe -- diff bench/baselines/SERVE_SMOKE.json SERVE_SMOKE.json \
 	  --tol "summary.sim_wall_seconds=3:0.5" --gate --quiet
 	dune exec bin/axmemo_cli.exe -- diff bench/baselines/BENCH_SERVE.json BENCH_SERVE.json --gate --quiet

@@ -1040,24 +1040,25 @@ let corun_exp () =
           partitions)
       [ 1; 2; 4 ]
   in
-  let outcomes = Corun.run_matrix ~jobs:(jobs ()) cfgs in
+  let outcomes = Cluster.run_matrix ~jobs:(jobs ()) (List.map Cluster.of_node cfgs) in
   let header =
     [ "cores"; "partition"; "makespan"; "thrpt/s"; "speedup"; "hit"; "fair";
       "cont"; "repart"; "divergent" ]
   in
   let rows =
     List.map
-      (fun (o : Corun.outcome) ->
+      (fun (o : Cluster.outcome) ->
+        let node = o.cfg.Cluster.node and n = o.per_node.(0) in
         [
-          string_of_int o.cfg.Corun.ncores;
-          Shared_lut.partition_name o.cfg.Corun.partition;
+          string_of_int node.Corun.ncores;
+          Shared_lut.partition_name node.Corun.partition;
           string_of_int o.makespan_cycles;
           Printf.sprintf "%.0f" o.throughput_rps;
           Table.fmt_x o.speedup;
           Table.fmt_pct o.aggregate_hit_rate;
           Printf.sprintf "%.3f" o.fairness;
-          string_of_int o.contention_cycles;
-          string_of_int o.repartitions;
+          string_of_int n.Cluster.contention_cycles;
+          string_of_int n.Cluster.repartitions;
           Printf.sprintf "%d/%d" o.coherence_divergent o.coherence_keys;
         ])
       outcomes
@@ -1068,8 +1069,9 @@ let corun_exp () =
     ~header rows;
   let of_cores n =
     List.find
-      (fun (o : Corun.outcome) ->
-        o.cfg.Corun.ncores = n && o.cfg.Corun.partition = Shared_lut.Free_for_all)
+      (fun (o : Cluster.outcome) ->
+        let node = o.cfg.Cluster.node in
+        node.Corun.ncores = n && node.Corun.partition = Shared_lut.Free_for_all)
       outcomes
   in
   let t1 = (of_cores 1).throughput_rps and t4 = (of_cores 4).throughput_rps in
@@ -1078,9 +1080,9 @@ let corun_exp () =
      diverge across LUT levels in the whole matrix\n"
     (t1 |> fun t1 -> if t1 = 0.0 then 0.0 else t4 /. t1)
     (List.fold_left
-       (fun a (o : Corun.outcome) -> a + o.coherence_divergent)
+       (fun a (o : Cluster.outcome) -> a + o.coherence_divergent)
        0 outcomes);
-  Corun.write_report ~per_core:false "BENCH_CORUN.json" outcomes;
+  Cluster.write_corun_report ~per_core:false "BENCH_CORUN.json" outcomes;
   Printf.printf "wrote BENCH_CORUN.json\n"
 
 (* ------------------------------------------------------------------ *)
@@ -1225,15 +1227,14 @@ let tier_serve warm_start =
 let tier_exp () =
   heading "Tier: DRAM L3 spill path and warm-restart snapshots";
   let snapshot_file = "TIER_SNAPSHOT.axs" in
-  let warm_outcome, warmed = Corun.run_keep tier_cluster in
-  (match warm_outcome.Corun.l3 with
+  let warm_outcome, warmed = Cluster.run_keep (Cluster.of_node tier_cluster) in
+  (match warm_outcome.Cluster.per_node.(0).l3 with
   | None -> ()
-  | Some s ->
+  | Some { tier = s; occupancy; capacity } ->
       Printf.printf
         "closed warm-up: %d spills into L3, %d/%d probes hit, occupancy %d/%d\n"
-        s.Corun.l3_spills s.Corun.l3_tier_hits s.Corun.l3_probes
-        s.Corun.l3_occupancy s.Corun.l3_capacity);
-  let snap = Corun.capture_snapshot warmed in
+        s.Axmemo_tier.Dram_lut.inserts s.hits s.probes occupancy capacity);
+  let snap = Corun.capture_snapshot (Cluster.node_cluster warmed ~node:0) in
   Axmemo_tier.Snapshot.save snap snapshot_file;
   Printf.printf "wrote %s (%d sections, %d entries)\n" snapshot_file
     (List.length snap.Axmemo_tier.Snapshot.sections)
@@ -1336,10 +1337,10 @@ let cluster_exp () =
           Table.fmt_x o.Cluster.speedup;
           Table.fmt_pct o.Cluster.aggregate_hit_rate;
           Printf.sprintf "%.3f" o.Cluster.shard_balance;
-          string_of_int o.Cluster.inv_sent;
-          string_of_int o.Cluster.inv_filtered;
+          string_of_int o.Cluster.stats.inv_sent;
+          string_of_int o.Cluster.stats.inv_filtered;
           string_of_int o.Cluster.inv_broadcast_equivalent;
-          string_of_int o.Cluster.net_messages;
+          string_of_int o.Cluster.stats.net_messages;
         ])
       outcomes
   in
@@ -1376,18 +1377,18 @@ let cluster_exp () =
   | bcast :: dir :: _ ->
       Printf.printf
         "directory traffic: %d sent + %d filtered vs %d broadcast-equivalent\n"
-        dir.Cluster.inv_sent dir.Cluster.inv_filtered
+        dir.Cluster.stats.inv_sent dir.Cluster.stats.inv_filtered
         dir.Cluster.inv_broadcast_equivalent;
-      if dir.Cluster.inv_events = 0 then begin
+      if dir.Cluster.stats.inv_events = 0 then begin
         Printf.eprintf "FATAL: the kmeans cell retired no invalidates\n";
         exit 1
       end;
-      if dir.Cluster.inv_sent >= dir.Cluster.inv_broadcast_equivalent then begin
+      if dir.Cluster.stats.inv_sent >= dir.Cluster.inv_broadcast_equivalent then begin
         Printf.eprintf
           "FATAL: directory sent no fewer messages than a broadcast\n";
         exit 1
       end;
-      if bcast.Cluster.inv_sent < dir.Cluster.inv_sent then begin
+      if bcast.Cluster.stats.inv_sent < dir.Cluster.stats.inv_sent then begin
         Printf.eprintf
           "FATAL: broadcast mode sent fewer messages than the directory\n";
         exit 1

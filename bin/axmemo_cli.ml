@@ -564,6 +564,7 @@ let faults_cmd =
 
 module Shared_lut = Axmemo_multicore.Shared_lut
 module Corun = Axmemo_multicore.Corun
+module Cluster = Axmemo_cluster.Cluster
 
 let partition_conv =
   Arg.conv
@@ -701,7 +702,7 @@ let corun_cmd =
         cores
     in
     let outcomes =
-      try Corun.run_matrix ?jobs ~profile cfgs
+      try Cluster.run_matrix ?jobs ~profile (List.map Cluster.of_node cfgs)
       with Invalid_argument msg -> die "%s" msg
     in
     if not quiet then begin
@@ -711,17 +712,18 @@ let corun_cmd =
       in
       let rows =
         List.map
-          (fun (o : Corun.outcome) ->
+          (fun (o : Cluster.outcome) ->
+            let node = o.cfg.Cluster.node and n = o.per_node.(0) in
             [
-              string_of_int o.cfg.Corun.ncores;
-              Shared_lut.partition_name o.cfg.Corun.partition;
+              string_of_int node.Corun.ncores;
+              Shared_lut.partition_name node.Corun.partition;
               string_of_int o.makespan_cycles;
               Printf.sprintf "%.0f" o.throughput_rps;
               Table.fmt_x o.speedup;
               Table.fmt_pct o.aggregate_hit_rate;
               Printf.sprintf "%.3f" o.fairness;
-              string_of_int o.contention_cycles;
-              string_of_int o.repartitions;
+              string_of_int n.Cluster.contention_cycles;
+              string_of_int n.Cluster.repartitions;
             ])
           outcomes
       in
@@ -731,17 +733,17 @@ let corun_cmd =
     end;
     if profile && not quiet then
       List.iter
-        (fun (o : Corun.outcome) ->
-          match o.Corun.profiles with
+        (fun (o : Cluster.outcome) ->
+          match o.Cluster.profiles with
           | Some ps ->
               Printf.printf "\n%s — merged attribution profile:\n"
-                (Corun.label o.Corun.cfg);
+                (Corun.label o.Cluster.cfg.Cluster.node);
               print_string (Profile.render (Profile.merge (Array.to_list ps)))
           | None -> ())
         outcomes;
-    Option.iter (fun path -> Corun.write_report path outcomes) metrics;
+    Option.iter (fun path -> Cluster.write_corun_report path outcomes) metrics;
     Option.iter
-      (fun path -> Report.write_csv path (Corun.report_runs outcomes))
+      (fun path -> Report.write_csv path (Cluster.corun_report_runs outcomes))
       csv
   in
   Cmd.v (Cmd.info "corun" ~doc)
@@ -1079,8 +1081,6 @@ let serve_cmd =
 
 (* ---- cluster: sharded multi-node scale-out ---------------------------- *)
 
-module Cluster = Axmemo_cluster.Cluster
-
 let cluster_nodes_arg =
   Arg.(
     value
@@ -1161,6 +1161,9 @@ let cluster_cmd =
     List.iter
       (fun m -> if m < 1 then die "--nodes must be positive (got %d)" m)
       nodes;
+    (* One trace file holds one outcome's messages. *)
+    if chrome_trace <> None && List.length nodes > 1 then
+      die "--chrome-trace takes a single --nodes value";
     validate_cluster_flags ~cores:[ ncores ] ~requests ~banks ~ports;
     if replicate_threshold < 0 then
       die "--replicate-threshold must be non-negative (got %d)"
@@ -1217,10 +1220,10 @@ let cluster_cmd =
               Table.fmt_pct o.Cluster.aggregate_hit_rate;
               Printf.sprintf "%.3f" o.Cluster.shard_balance;
               Table.fmt_pct o.Cluster.replication_hit_share;
-              string_of_int o.Cluster.inv_sent;
-              string_of_int o.Cluster.inv_filtered;
+              string_of_int o.Cluster.stats.inv_sent;
+              string_of_int o.Cluster.stats.inv_filtered;
               string_of_int o.Cluster.inv_broadcast_equivalent;
-              string_of_int o.Cluster.net_messages;
+              string_of_int o.Cluster.stats.net_messages;
             ])
           outcomes
       in
@@ -1235,8 +1238,7 @@ let cluster_cmd =
       (fun path -> Report.write_csv path (Cluster.report_runs outcomes))
       csv;
     Option.iter
-      (fun path ->
-        match outcomes with [] -> () | o :: _ -> Cluster.write_trace o path)
+      (fun path -> List.iter (fun o -> Cluster.write_trace o path) outcomes)
       chrome_trace
   in
   Cmd.v (Cmd.info "cluster" ~doc)
@@ -1302,8 +1304,8 @@ let snapshot_cmd =
       in
       let snap =
         try
-          let _outcome, cluster = Corun.run_keep cfg in
-          Corun.capture_snapshot cluster
+          let _outcome, t = Cluster.run_keep (Cluster.of_node cfg) in
+          Corun.capture_snapshot (Cluster.node_cluster t ~node:0)
         with Invalid_argument msg -> die "%s" msg
       in
       (try Tier_snapshot.save snap file

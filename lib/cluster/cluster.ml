@@ -1,7 +1,7 @@
 (* The sharded multi-node memoization cluster.
 
-   M nodes, each a full Corun cluster (N cores, one shared L2 LUT, a bank
-   arbiter, optionally a DRAM L3 tier), joined by a modeled point-to-point
+   M nodes, each a Corun node (N cores, one shared L2 LUT, a bank arbiter,
+   optionally a DRAM L3 tier), joined by a modeled point-to-point
    interconnect. Every LUT entry has one home node — the high bits of its
    CRC tag pick the shard — and all shared-level traffic for that entry
    lands there: a core whose key homes elsewhere probes the remote node's
@@ -11,15 +11,16 @@
    the local shared level, with the directory dropping stale replicas when
    the home copy is rewritten.
 
-   Determinism contract, inherited from Corun: requests execute one at a
-   time in dispatch order, so every table, counter and message below is a
-   pure function of the configuration. Network contention reuses the
-   arbiter's post-hoc settlement (banks = destination NICs, window = one
-   message's service time); synchronous remote probes additionally charge
-   2 x hops x net_msg_cycles per probe, accumulated per core and folded
-   into finish times at settlement exactly like arbitration stalls — so
-   per-request cycle results stay bit-identical to the node-local model,
-   and a 1-node cluster reproduces Corun.run outcome for outcome. *)
+   Determinism contract: requests execute one at a time in dispatch order,
+   so every table, counter and message below is a pure function of the
+   configuration. Network contention reuses the arbiter's post-hoc
+   settlement (banks = destination NICs, window = one message's service
+   time); synchronous remote probes additionally charge 2 x hops x
+   net_msg_cycles per probe, accumulated per core and folded into finish
+   times at settlement exactly like arbitration stalls — so per-request
+   cycle results stay bit-identical to the node-local model.
+   A 1-node cluster installs neither hook: it is the co-run, and [run] is
+   the only closed-stream driver for every node count. *)
 
 module Corun = Axmemo_multicore.Corun
 module Shared_lut = Axmemo_multicore.Shared_lut
@@ -35,6 +36,7 @@ module Machine = Axmemo_cpu.Machine
 module Dram_lut = Axmemo_tier.Dram_lut
 module Snapshot = Axmemo_tier.Snapshot
 module Profile = Axmemo_obs.Profile
+module Injector = Axmemo_faults.Injector
 module Runner = Axmemo.Runner
 module Json = Axmemo_util.Json
 module Pool = Axmemo_util.Pool
@@ -66,6 +68,8 @@ let default =
     net_ports = 1;
     directory = true;
   }
+
+let of_node node = { default with nodes = 1; node }
 
 (* Replication and broadcast-mode suffixes appear only when configured, so
    sweep labels stay minimal (and distinct per cell, which Report.make
@@ -147,9 +151,10 @@ type t = {
 }
 
 let node_bit n = 1 lsl n
+let sharers t ~lut = Option.value ~default:0 (Hashtbl.find_opt t.sharers lut)
 
 let register_sharer t ~lut ~node =
-  let m = Option.value ~default:0 (Hashtbl.find_opt t.sharers lut) in
+  let m = sharers t ~lut in
   let m' = m lor node_bit node in
   if m' <> m then Hashtbl.replace t.sharers lut m'
 
@@ -307,9 +312,11 @@ let deliver_lut_invalidate t ~dst ~lut =
   | Some ps -> Array.iter (fun p -> Profile.on_remote_invalidate p ~lut) ps
   | None -> ()
 
-(* Directory-side purge after a LUT-wide invalidate: every replica row and
-   hot counter of that LUT is void. Hashtbl iteration order only decides
-   removal order, never an observable count. *)
+(* Directory-side purge after a LUT-wide invalidate: every replica row,
+   hot counter and queued replica L3 copy of that LUT is void — a queued
+   copy flushed after the invalidate would land in a tier whose node the
+   directory no longer lists as a sharer. Hashtbl iteration order only
+   decides removal order, never an observable count. *)
 let purge_lut t ~lut =
   let reps =
     Hashtbl.fold (fun (l, k) _ acc -> if l = lut then (l, k) :: acc else acc)
@@ -320,7 +327,10 @@ let purge_lut t ~lut =
     Hashtbl.fold (fun (n, l, k) _ acc -> if l = lut then (n, l, k) :: acc else acc)
       t.hot []
   in
-  List.iter (Hashtbl.remove t.hot) hots
+  List.iter (Hashtbl.remove t.hot) hots;
+  Array.iter
+    (fun pending -> pending := List.filter (fun (l, _, _) -> l <> lut) !pending)
+    t.l3_pending
 
 (* The cross-node half of a retired [invalidate]: the issuing node already
    dropped everything it can see (its unit, its peers' L1s, its shared
@@ -330,7 +340,7 @@ let purge_lut t ~lut =
 let on_invalidate t nid ~core ~lut ~at =
   let gcore = (nid * t.npc) + core in
   t.st.inv_events <- t.st.inv_events + 1;
-  let mask = Option.value ~default:0 (Hashtbl.find_opt t.sharers lut) in
+  let mask = sharers t ~lut in
   for d = 0 to t.cfg.nodes - 1 do
     if d <> nid then
       if t.cfg.directory && mask land node_bit d = 0 then
@@ -497,8 +507,8 @@ let settle t =
         + net.Arbiter.stall_cycles.(g)
         + t.st.net_latency.(g))
   in
-  (* Settled stalls flow back to (core, region) on the collectors, exactly
-     as Corun.run does for its single arbiter. *)
+  (* Settled stalls flow back to (core, region) on the collectors, through
+     the tag each access was recorded with. *)
   Array.iteri
     (fun nid s ->
       match Corun.collectors t.nodes.(nid) with
@@ -653,7 +663,12 @@ let restore_snapshot t (snap : Snapshot.t) =
   t.st.restore_entries <- t.st.restore_entries + !restored;
   !restored
 
-(* ---- the cluster co-run ------------------------------------------------- *)
+(* ---- the closed stream ---------------------------------------------------
+
+   The one closed-stream driver: a fixed request stream dispatched over
+   every global core, settled once, then summarised per core, per node and
+   cluster-wide. A 1-node cluster is the co-run; [corun_report] renders it
+   in the co-run's report shape. *)
 
 type request_run = {
   rid : int;
@@ -671,6 +686,7 @@ type core_summary = {
   served : int;
   busy_cycles : int;
   bank_stall_cycles : int;  (* local shared-LUT arbitration *)
+  retried : int;  (* local arbitrations lost *)
   net_stall_cycles : int;  (* NIC contention, settled post hoc *)
   net_latency_cycles : int;  (* synchronous remote-probe round trips *)
   finish_cycles : int;  (* busy + every settled addition *)
@@ -679,50 +695,53 @@ type core_summary = {
   hit_rate : float;
   baseline_cycles : int;
   speedup : float;
+  way_range : int * int;  (* final allocation in the node's shared LUT *)
+  shadow_hits : int;
+}
+
+type l3_summary = { tier : Dram_lut.stats; occupancy : int; capacity : int }
+
+type node_summary = {
+  bank_accesses : int;
+  bank_contended : int;
+  contention_cycles : int;  (* bank stalls summed over the node's cores *)
+  contention_pj : float;  (* re-issued probes at the L2 access energy *)
+  repartitions : int;
+  shared_occupancy : int;
+  l3 : l3_summary option;
+  faults : Injector.stats option;
+  snapshots : (string * Registry.snapshot) list;  (* core<i>, cluster *)
 }
 
 type outcome = {
   cfg : config;
   requests : request_run list;
   cores : core_summary array;
+  per_node : node_summary array;
   makespan_cycles : int;
   throughput_rps : float;
   speedup : float;
   aggregate_hit_rate : float;
   fairness : float;  (* Jain over per-core finish cycles *)
-  shard_accesses : int array;
-  shard_balance : float;  (* Jain over per-node homed accesses *)
-  remote_probes : int;
-  remote_hits : int;
-  remote_inserts : int;
-  replica_installs : int;
-  replica_hits : int;
-  replica_invalidations : int;
-  replication_hit_share : float;  (* replica hits over all remote-homed hits *)
-  inv_events : int;
-  inv_sent : int;
-  inv_filtered : int;
-  inv_broadcast_equivalent : int;  (* events * (nodes - 1) *)
-  net_messages : int;
-  net_hops : int;
-  net_pj : float;  (* hops * net_hop_pj; reported beside, never inside, total_pj *)
-  net_latency_cycles : int;
-  net_contended : int;
-  net_stall_cycles : int;
-  bank_stall_cycles : int;
+  shard_balance : float;
+  replication_hit_share : float;
+  inv_broadcast_equivalent : int;
+  stats : stats;  (* end-of-run copy of the live counters *)
+  net : Arbiter.settlement;
   coherence_keys : int;
   coherence_divergent : int;
-  restore_entries : int;
-  restore_amortised : int;
-  restore_serial : int;
-  replica_batch_amortised : int;
-  replica_batch_serial : int;
-  snapshots : (string * Registry.snapshot) list;
   profiles : Profile.snapshot array option;  (* per global core *)
   messages : msg list;  (* send order, for the trace *)
 }
 
 let ratio num den = if den = 0 then 0.0 else float_of_int num /. float_of_int den
+
+(* Derived figures shared by the outcome and the "cluster" section. *)
+let shard_balance st = Schedule.jain_fairness (Array.map float_of_int st.shard_accesses)
+let replication_hit_share st = ratio st.replica_hits (st.replica_hits + st.remote_hits)
+
+let broadcast_equivalent (cfg : config) st =
+  st.inv_events * ((cfg.nodes * cfg.node.Corun.ncores) - 1)
 
 (* The paper's no-coherence argument, measured across the whole cluster:
    (lut, key) pairs simultaneously valid in several SRAM structures, and
@@ -737,12 +756,36 @@ let coherence_check t =
          @ [ Shared_lut.entries (Corun.shared_lut nd) ])
        (Array.to_list t.nodes))
 
+let node_summary nd (bank : Arbiter.settlement) =
+  let shared = Corun.shared_lut nd in
+  {
+    bank_accesses = bank.Arbiter.accesses;
+    bank_contended = bank.Arbiter.contended;
+    contention_cycles = Array.fold_left ( + ) 0 bank.Arbiter.stall_cycles;
+    contention_pj =
+      float_of_int bank.Arbiter.contended *. Model.default_constants.Model.l2_access_pj;
+    repartitions = Shared_lut.repartitions shared;
+    shared_occupancy = Shared_lut.occupancy shared;
+    l3 =
+      Option.map
+        (fun d ->
+          {
+            tier = Dram_lut.stats d;
+            occupancy = Dram_lut.occupancy d;
+            capacity = Dram_lut.capacity_entries d;
+          })
+        (Corun.dram_lut nd);
+    faults = Corun.fault_stats nd;
+    snapshots = Corun.cluster_snapshots nd;
+  }
+
 let run_keep ?(metrics = false) ?(profile = false) (cfg : config) =
   let t = create ~metrics ~profile cfg in
   let stream =
     Schedule.stream ~workloads:cfg.node.Corun.workloads
       ~requests:cfg.node.Corun.requests
   in
+  (* Un-memoized single-core reference per workload, for per-core speedup. *)
   let baselines = Hashtbl.create 8 in
   let baseline_of name =
     match Hashtbl.find_opt baselines name with
@@ -781,6 +824,7 @@ let run_keep ?(metrics = false) ?(profile = false) (cfg : config) =
   let cores =
     Array.init t.gcores (fun g ->
         let nid = g / t.npc and core = g mod t.npc in
+        let bank = settlement.bank.(nid) and shared = Corun.shared_lut t.nodes.(nid) in
         let mine = List.filter (fun (r : request_run) -> r.gcore = g) requests in
         let served = List.length mine in
         let lookups = List.fold_left (fun a r -> a + r.result.Runner.lookups) 0 mine in
@@ -796,7 +840,8 @@ let run_keep ?(metrics = false) ?(profile = false) (cfg : config) =
           core;
           served;
           busy_cycles;
-          bank_stall_cycles = settlement.bank.(nid).Arbiter.stall_cycles.(core);
+          bank_stall_cycles = bank.Arbiter.stall_cycles.(core);
+          retried = bank.Arbiter.retried.(core);
           net_stall_cycles = settlement.net.Arbiter.stall_cycles.(g);
           net_latency_cycles = t.st.net_latency.(g);
           finish_cycles;
@@ -807,6 +852,8 @@ let run_keep ?(metrics = false) ?(profile = false) (cfg : config) =
           speedup =
             (if baseline_cycles = 0 && finish_cycles = 0 then 1.0
              else float_of_int baseline_cycles /. float_of_int (max 1 finish_cycles));
+          way_range = Shared_lut.way_range shared ~core;
+          shadow_hits = (Shared_lut.shadow_hits shared).(core);
         })
   in
   let makespan_cycles = Array.fold_left (fun a c -> max a c.finish_cycles) 0 cores in
@@ -815,10 +862,18 @@ let run_keep ?(metrics = false) ?(profile = false) (cfg : config) =
   let total_baseline = Array.fold_left (fun a c -> a + c.baseline_cycles) 0 cores in
   let keys, divergent = coherence_check t in
   flush_metrics t;
+  let stats =
+    {
+      t.st with
+      shard_accesses = Array.copy t.st.shard_accesses;
+      net_latency = Array.copy t.st.net_latency;
+    }
+  in
   ( {
       cfg;
       requests;
       cores;
+      per_node = Array.map2 node_summary t.nodes settlement.bank;
       makespan_cycles;
       throughput_rps =
         (if makespan_cycles = 0 then 0.0
@@ -832,38 +887,13 @@ let run_keep ?(metrics = false) ?(profile = false) (cfg : config) =
       fairness =
         Schedule.jain_fairness
           (Array.map (fun c -> float_of_int c.finish_cycles) cores);
-      shard_accesses = Array.copy t.st.shard_accesses;
-      shard_balance =
-        Schedule.jain_fairness (Array.map float_of_int t.st.shard_accesses);
-      remote_probes = t.st.remote_probes;
-      remote_hits = t.st.remote_hits;
-      remote_inserts = t.st.remote_inserts;
-      replica_installs = t.st.replica_installs;
-      replica_hits = t.st.replica_hits;
-      replica_invalidations = t.st.replica_invalidations;
-      replication_hit_share = ratio t.st.replica_hits (t.st.replica_hits + t.st.remote_hits);
-      inv_events = t.st.inv_events;
-      inv_sent = t.st.inv_sent;
-      inv_filtered = t.st.inv_filtered;
-      inv_broadcast_equivalent = t.st.inv_events * ((cfg.nodes * t.npc) - 1);
-      net_messages = t.st.net_messages;
-      net_hops = t.st.net_hops;
-      net_pj = float_of_int t.st.net_hops *. cfg.net_hop_pj;
-      net_latency_cycles = Array.fold_left ( + ) 0 t.st.net_latency;
-      net_contended = settlement.net.Arbiter.contended;
-      net_stall_cycles = Array.fold_left ( + ) 0 settlement.net.Arbiter.stall_cycles;
-      bank_stall_cycles =
-        Array.fold_left
-          (fun a s -> a + Array.fold_left ( + ) 0 s.Arbiter.stall_cycles)
-          0 settlement.bank;
+      shard_balance = shard_balance stats;
+      replication_hit_share = replication_hit_share stats;
+      inv_broadcast_equivalent = broadcast_equivalent cfg stats;
+      stats;
+      net = settlement.net;
       coherence_keys = keys;
       coherence_divergent = divergent;
-      restore_entries = t.st.restore_entries;
-      restore_amortised = t.st.restore_amortised;
-      restore_serial = t.st.restore_serial;
-      replica_batch_amortised = t.st.replica_batch_amortised;
-      replica_batch_serial = t.st.replica_batch_serial;
-      snapshots = snapshots t;
       profiles =
         (if profile then
            Some
@@ -884,16 +914,15 @@ let run_matrix ?jobs ?(profile = false) cfgs =
 (* ---- the "cluster" report section --------------------------------------- *)
 
 (* Shared between run reports and the serve layer: everything here comes
-   from the live stats plus a settlement, so serve can attach the section
-   without building a full outcome. *)
+   from the stats plus the net settlement, so serve can attach the section
+   from the live cluster without building a full outcome. *)
 let section_fields ~(cfg : config) ~(st : stats) ~(net : Arbiter.settlement) =
   [
     ("nodes", Json.Int cfg.nodes);
     ("cores_per_node", Json.Int cfg.node.Corun.ncores);
     ( "shard_accesses",
       Json.Arr (Array.to_list (Array.map (fun n -> Json.Int n) st.shard_accesses)) );
-    ( "shard_balance_jain",
-      Json.Float (Schedule.jain_fairness (Array.map float_of_int st.shard_accesses)) );
+    ("shard_balance_jain", Json.Float (shard_balance st));
     ("remote_probes", Json.Int st.remote_probes);
     ("remote_hits", Json.Int st.remote_hits);
     ("remote_inserts", Json.Int st.remote_inserts);
@@ -904,8 +933,7 @@ let section_fields ~(cfg : config) ~(st : stats) ~(net : Arbiter.settlement) =
           ("installs", Json.Int st.replica_installs);
           ("hits", Json.Int st.replica_hits);
           ("invalidations", Json.Int st.replica_invalidations);
-          ( "hit_share",
-            Json.Float (ratio st.replica_hits (st.replica_hits + st.remote_hits)) );
+          ("hit_share", Json.Float (replication_hit_share st));
           ("l3_batch_amortised_activations", Json.Int st.replica_batch_amortised);
           ("l3_batch_serial_activations", Json.Int st.replica_batch_serial);
         ] );
@@ -920,8 +948,7 @@ let section_fields ~(cfg : config) ~(st : stats) ~(net : Arbiter.settlement) =
              machine broadcasts every event to all other cores (the
              corun.invalidate.* per-core counters), while the directory
              coalesces to one message per sharer node *)
-          ( "broadcast_equivalent",
-            Json.Int (st.inv_events * ((cfg.nodes * cfg.node.Corun.ncores) - 1)) );
+          ("broadcast_equivalent", Json.Int (broadcast_equivalent cfg st));
           ( "node_broadcast_equivalent",
             Json.Int (st.inv_events * (cfg.nodes - 1)) );
         ] );
@@ -955,43 +982,39 @@ let section_fields ~(cfg : config) ~(st : stats) ~(net : Arbiter.settlement) =
           ] );
     ]
 
-let section (t : t) ~settled = Json.Obj (section_fields ~cfg:t.cfg ~st:t.st ~net:settled.net)
-
-let outcome_section o =
-  let st =
-    {
-      shard_accesses = o.shard_accesses;
-      remote_probes = o.remote_probes;
-      remote_hits = o.remote_hits;
-      remote_inserts = o.remote_inserts;
-      replica_installs = o.replica_installs;
-      replica_hits = o.replica_hits;
-      replica_invalidations = o.replica_invalidations;
-      inv_events = o.inv_events;
-      inv_sent = o.inv_sent;
-      inv_filtered = o.inv_filtered;
-      net_messages = o.net_messages;
-      net_hops = o.net_hops;
-      net_latency = [| o.net_latency_cycles |];
-      restore_entries = o.restore_entries;
-      restore_amortised = o.restore_amortised;
-      restore_serial = o.restore_serial;
-      replica_batch_amortised = o.replica_batch_amortised;
-      replica_batch_serial = o.replica_batch_serial;
-    }
-  in
-  let net =
-    {
-      Arbiter.accesses = o.net_messages;
-      contended = o.net_contended;
-      stall_cycles = [| o.net_stall_cycles |];
-      retried = [| o.net_contended |];
-      tag_stalls = [];
-    }
-  in
-  Json.Obj (section_fields ~cfg:o.cfg ~st ~net)
+let section (t : t) ~(settled : settlement) = Json.Obj (section_fields ~cfg:t.cfg ~st:t.st ~net:settled.net)
+let outcome_section o = Json.Obj (section_fields ~cfg:o.cfg ~st:o.stats ~net:o.net)
 
 (* ---- reports ------------------------------------------------------------ *)
+
+let default_series_cap = 32
+
+(* Keep checked-in reports small: only the head of the schedule is listed
+   row by row; everything else is already aggregated per core. *)
+let schedule_head_rows = 24
+
+let schedule_fields ~core_tag o =
+  let head = List.filteri (fun i _ -> i < schedule_head_rows) o.requests in
+  [
+    ( "schedule_head",
+      Json.Arr
+        (List.map
+           (fun r ->
+             Json.Str
+               (Printf.sprintf "r%d %s %s%d [%d..%d] hit=%.3f" r.rid r.workload core_tag
+                  r.gcore r.start r.finish r.result.Runner.hit_rate))
+           head) );
+    ("schedule_rows_omitted", Json.Int (max 0 (List.length o.requests - schedule_head_rows)));
+  ]
+
+let make_report ~key outcome_json runs outcomes =
+  Report.make
+    ~extra:
+      [
+        ("root_seed", Json.Str (Int64.to_string (Rng.root_seed ())));
+        (key, Json.Arr (List.map outcome_json outcomes));
+      ]
+    runs
 
 let core_summary_json c =
   Json.Obj
@@ -1012,41 +1035,28 @@ let core_summary_json c =
       ("speedup", Json.Float c.speedup);
     ]
 
-let schedule_head_rows = 24
-
 let outcome_json o =
-  let head = List.filteri (fun i _ -> i < schedule_head_rows) o.requests in
   Json.Obj
-    [
-      ("label", Json.Str (label o.cfg));
-      ("nodes", Json.Int o.cfg.nodes);
-      ("cores_per_node", Json.Int o.cfg.node.Corun.ncores);
-      ( "workloads",
-        Json.Arr (List.map (fun w -> Json.Str w) o.cfg.node.Corun.workloads) );
-      ("requests", Json.Int o.cfg.node.Corun.requests);
-      ("makespan_cycles", Json.Int o.makespan_cycles);
-      ("throughput_rps", Json.Float o.throughput_rps);
-      ("speedup", Json.Float o.speedup);
-      ("aggregate_hit_rate", Json.Float o.aggregate_hit_rate);
-      ("fairness", Json.Float o.fairness);
-      ("coherence_keys", Json.Int o.coherence_keys);
-      ("coherence_divergent", Json.Int o.coherence_divergent);
-      ("bank_stall_cycles", Json.Int o.bank_stall_cycles);
-      ("cluster", outcome_section o);
-      ("cores", Json.Arr (Array.to_list (Array.map core_summary_json o.cores)));
-      ( "schedule_head",
-        Json.Arr
-          (List.map
-             (fun r ->
-               Json.Str
-                 (Printf.sprintf "r%d %s g%d [%d..%d] hit=%.3f" r.rid r.workload
-                    r.gcore r.start r.finish r.result.Runner.hit_rate))
-             head) );
-      ( "schedule_rows_omitted",
-        Json.Int (max 0 (List.length o.requests - schedule_head_rows)) );
-    ]
-
-let default_series_cap = Corun.default_series_cap
+    ([
+       ("label", Json.Str (label o.cfg));
+       ("nodes", Json.Int o.cfg.nodes);
+       ("cores_per_node", Json.Int o.cfg.node.Corun.ncores);
+       ( "workloads",
+         Json.Arr (List.map (fun w -> Json.Str w) o.cfg.node.Corun.workloads) );
+       ("requests", Json.Int o.cfg.node.Corun.requests);
+       ("makespan_cycles", Json.Int o.makespan_cycles);
+       ("throughput_rps", Json.Float o.throughput_rps);
+       ("speedup", Json.Float o.speedup);
+       ("aggregate_hit_rate", Json.Float o.aggregate_hit_rate);
+       ("fairness", Json.Float o.fairness);
+       ("coherence_keys", Json.Int o.coherence_keys);
+       ("coherence_divergent", Json.Int o.coherence_divergent);
+       ( "bank_stall_cycles",
+         Json.Int (Array.fold_left (fun a n -> a + n.contention_cycles) 0 o.per_node) );
+       ("cluster", outcome_section o);
+       ("cores", Json.Arr (Array.to_list (Array.map core_summary_json o.cores)));
+     ]
+    @ schedule_fields ~core_tag:"g" o)
 
 (* One report row per outcome: per-node registries are merged into the row
    with an n<j>. name prefix (names stay disjoint, so the re-sorted union
@@ -1058,10 +1068,17 @@ let report_runs ?(series_cap = default_series_cap) outcomes =
       let metrics =
         List.sort
           (fun (a, _) (b, _) -> compare a b)
-          (List.concat_map
-             (fun (who, snap) ->
-               List.map (fun (k, v) -> (who ^ "." ^ k, v)) snap)
-             o.snapshots)
+          (List.concat
+             (Array.to_list
+                (Array.mapi
+                   (fun j n ->
+                     List.concat_map
+                       (fun (who, snap) ->
+                         List.map
+                           (fun (k, v) -> (Printf.sprintf "n%d.%s.%s" j who k, v))
+                           snap)
+                       n.snapshots)
+                   o.per_node)))
       in
       {
         Report.benchmark = String.concat "+" o.cfg.node.Corun.workloads;
@@ -1088,17 +1105,159 @@ let report_runs ?(series_cap = default_series_cap) outcomes =
     outcomes
 
 let report ?series_cap outcomes =
-  let runs = report_runs ?series_cap outcomes in
-  let extra =
-    [
-      ("root_seed", Json.Str (Int64.to_string (Rng.root_seed ())));
-      ("cluster", Json.Arr (List.map outcome_json outcomes));
-    ]
-  in
-  Report.make ~extra runs
+  make_report ~key:"cluster" outcome_json (report_runs ?series_cap outcomes) outcomes
 
 let write_report ?series_cap path outcomes =
   Json.write_file ~indent:2 path (report ?series_cap outcomes)
+
+(* ---- the co-run report ---------------------------------------------------
+
+   A 1-node outcome rendered in the co-run's shape: one row per node
+   registry (core<i>, cluster) labelled by the node config, and the
+   top-level "corun" array of per-node aggregates. The "l3" block appears
+   only for tier-configured runs and "faults" is null unless the config
+   asked for faults. *)
+
+let corun_core_json c =
+  let lo, hi = c.way_range in
+  Json.Obj
+    [
+      ("core", Json.Int c.core);
+      ("served", Json.Int c.served);
+      ("busy_cycles", Json.Int c.busy_cycles);
+      ("contention_cycles", Json.Int c.bank_stall_cycles);
+      ("retried", Json.Int c.retried);
+      ("finish_cycles", Json.Int c.finish_cycles);
+      ("lookups", Json.Int c.lookups);
+      ("hits", Json.Int c.hits);
+      ("hit_rate", Json.Float c.hit_rate);
+      ("baseline_cycles", Json.Int c.baseline_cycles);
+      ("speedup", Json.Float c.speedup);
+      ("way_lo", Json.Int lo);
+      ("way_hi", Json.Int hi);
+      ("shadow_hits", Json.Int c.shadow_hits);
+    ]
+
+let corun_json o =
+  let cfg = o.cfg.node and n = o.per_node.(0) in
+  let l3_fields =
+    match n.l3 with
+    | None -> []
+    | Some { tier = s; occupancy; capacity } ->
+        [
+          ( "l3",
+            Json.Obj
+              [
+                ("probes", Json.Int s.Dram_lut.probes);
+                ("hits", Json.Int s.Dram_lut.hits);
+                ("misses", Json.Int s.Dram_lut.misses);
+                ("spills", Json.Int s.Dram_lut.inserts);
+                ("evictions", Json.Int s.Dram_lut.evictions);
+                ("row_activations", Json.Int s.Dram_lut.row_activations);
+                ("row_hits", Json.Int s.Dram_lut.row_hits);
+                ("corrupted_reads", Json.Int s.Dram_lut.corrupted_reads);
+                ("occupancy", Json.Int occupancy);
+                ("capacity", Json.Int capacity);
+              ] );
+        ]
+  in
+  Json.Obj
+    ([
+       ("label", Json.Str (Corun.label cfg));
+       ("ncores", Json.Int cfg.Corun.ncores);
+       ("partition", Json.Str (Shared_lut.partition_name cfg.Corun.partition));
+       ("l1_bytes", Json.Int cfg.Corun.l1_bytes);
+       ("shared_l2_bytes", Json.Int cfg.Corun.shared_l2_bytes);
+       ("banks", Json.Int cfg.Corun.banks);
+       ("ports", Json.Int cfg.Corun.ports);
+       ("workloads", Json.Arr (List.map (fun w -> Json.Str w) cfg.Corun.workloads));
+       ("requests", Json.Int cfg.Corun.requests);
+       ("makespan_cycles", Json.Int o.makespan_cycles);
+       ("throughput_rps", Json.Float o.throughput_rps);
+       ("speedup", Json.Float o.speedup);
+       ("aggregate_hit_rate", Json.Float o.aggregate_hit_rate);
+       ("fairness", Json.Float o.fairness);
+       ("shared_accesses", Json.Int n.bank_accesses);
+       ("contended_accesses", Json.Int n.bank_contended);
+       ("contention_cycles", Json.Int n.contention_cycles);
+       ("contention_pj", Json.Float n.contention_pj);
+       ("repartitions", Json.Int n.repartitions);
+       ("shared_occupancy", Json.Int n.shared_occupancy);
+       ("coherence_keys", Json.Int o.coherence_keys);
+       ("coherence_divergent", Json.Int o.coherence_divergent);
+       ("cores", Json.Arr (Array.to_list (Array.map corun_core_json o.cores)));
+     ]
+    @ schedule_fields ~core_tag:"core" o
+    @ ( "faults",
+        match n.faults with
+        | None -> Json.Null
+        | Some s ->
+            Json.Obj
+              [
+                ("injected", Json.Int s.Injector.injected_total);
+                ("sdc_hits", Json.Int s.Injector.sdc_hits);
+                ("parity_detected", Json.Int s.Injector.parity_detected);
+                ("secded_corrected", Json.Int s.Injector.secded_corrected);
+                ("secded_detected", Json.Int s.Injector.secded_detected);
+                ("tag_aliases", Json.Int s.Injector.tag_aliases);
+              ] )
+      :: l3_fields)
+
+(* The "cluster" row carries the merged (all-cores) profile; each "core<i>"
+   row carries its own. Merging per-core snapshots in core order is a
+   pointwise sum, so the report is byte-identical for any [--jobs]. *)
+let profile_json_for o who =
+  match o.profiles with
+  | None -> None
+  | Some ps ->
+      if who = "cluster" then Some (Profile.to_json (Profile.merge (Array.to_list ps)))
+      else
+        match strip_prefix ~prefix:"core" who with
+        | Some i -> (
+            match int_of_string_opt i with
+            | Some i when i >= 0 && i < Array.length ps -> Some (Profile.to_json ps.(i))
+            | _ -> None)
+        | None -> None
+
+let corun_report_runs ?(series_cap = default_series_cap) ?(per_core = true) outcomes =
+  List.concat_map
+    (fun o ->
+      if o.cfg.nodes <> 1 then
+        invalid_arg "Cluster.corun_report_runs: a co-run is a 1-node outcome";
+      let snaps =
+        List.filter
+          (fun (who, _) -> per_core || who = "cluster")
+          o.per_node.(0).snapshots
+      in
+      List.map
+        (fun (who, snap) ->
+          {
+            Report.benchmark = String.concat "+" o.cfg.node.Corun.workloads;
+            config = Printf.sprintf "%s:%s" (Corun.label o.cfg.node) who;
+            summary =
+              [
+                ("makespan_cycles", Json.Int o.makespan_cycles);
+                ("throughput_rps", Json.Float o.throughput_rps);
+                ("aggregate_hit_rate", Json.Float o.aggregate_hit_rate);
+                ("fairness", Json.Float o.fairness);
+              ];
+            metrics = Registry.decimate ~cap:series_cap snap;
+            profile = profile_json_for o who;
+            service = None;
+            cluster = None;
+            timeline = None;
+            alerts = None;
+          })
+        snaps)
+    outcomes
+
+let corun_report ?series_cap ?per_core outcomes =
+  make_report ~key:"corun" corun_json
+    (corun_report_runs ?series_cap ?per_core outcomes)
+    outcomes
+
+let write_corun_report ?series_cap ?per_core path outcomes =
+  Json.write_file ~indent:2 path (corun_report ?series_cap ?per_core outcomes)
 
 (* ---- the message trace --------------------------------------------------
 

@@ -16,10 +16,14 @@
     (banks = destination NICs, window = one message's service time), and
     synchronous remote probes additionally charge round-trip latency into
     the issuing core's finish time at settlement — so request execution
-    stays serial and deterministic, reports are byte-identical for any
-    [--jobs] setting, and a 1-node cluster is the {!Corun} model verbatim
-    (neither hook is installed). Network energy is reported beside, never
-    inside, [total_pj], mirroring the DRAM-tier convention. *)
+    stays serial and deterministic and reports are byte-identical for any
+    [--jobs] setting. Network energy is reported beside, never inside,
+    [total_pj], mirroring the DRAM-tier convention.
+
+    {!run} is the one closed-stream driver. A 1-node cluster installs
+    neither the routing port nor the directory hook, so [nodes = 1] is the
+    co-run of {!Corun}'s node, and {!corun_report} renders it in the
+    co-run report shape. *)
 
 module Corun = Axmemo_multicore.Corun
 
@@ -46,6 +50,9 @@ val default : config
 (** 2 nodes of {!Corun.default}, no replication, directory on, net
     constants from {!Axmemo_energy.Model.default_constants}. *)
 
+val of_node : Corun.config -> config
+(** The 1-node cluster of a node config — the co-run. *)
+
 val label : config -> string
 (** [cluster(<M>node,<node label>)], with [",rep=<t>"] only when
     replication is on and [",bcast"] only in broadcast mode. *)
@@ -67,7 +74,8 @@ val ring_hops : nodes:int -> int -> int -> int
 
 (** {1 The live cluster}
 
-    Exposed for the serve layer and tests; {!run} composes exactly these. *)
+    Exposed for the serve layer and tests; {!run} drives a closed stream
+    through exactly these. *)
 
 type t
 
@@ -83,7 +91,12 @@ val global_cores : t -> int
 
 val node_cluster : t -> node:int -> Corun.cluster
 (** The underlying per-node co-run cluster (tests poke core units and
-    shared LUTs through it). *)
+    shared LUTs through it; {!Corun.capture_snapshot} of node 0 is the
+    unprefixed single-node snapshot). *)
+
+val sharers : t -> lut:int -> int
+(** The directory's sharer-node bitmask of a LUT (bit [j] = node [j]);
+    read-only. *)
 
 val watch_traffic : t -> int * int * int
 (** Monotone interconnect counters for the timeline sampler:
@@ -146,6 +159,30 @@ val restore_snapshot : t -> Axmemo_tier.Snapshot.t -> int
 
 (** {1 Running} *)
 
+type stats = {
+  shard_accesses : int array;  (** shared-level accesses homed per node *)
+  mutable remote_probes : int;  (** lookups that crossed the interconnect *)
+  mutable remote_hits : int;
+  mutable remote_inserts : int;
+  mutable replica_installs : int;
+  mutable replica_hits : int;  (** remote-homed lookups served by a local replica *)
+  mutable replica_invalidations : int;  (** stale replicas dropped on a write *)
+  mutable inv_events : int;  (** retired invalidate instructions *)
+  mutable inv_sent : int;  (** point-to-point node messages delivered *)
+  mutable inv_filtered : int;  (** skipped: destination not a registered sharer *)
+  mutable net_messages : int;
+  mutable net_hops : int;  (** link traversals, probe responses included *)
+  net_latency : int array;
+      (** per global core, synchronous remote-probe round-trip cycles *)
+  mutable restore_entries : int;
+  mutable restore_amortised : int;  (** DRAM row activations, batched restore *)
+  mutable restore_serial : int;  (** an entry-at-a-time replay's cost *)
+  mutable replica_batch_amortised : int;  (** same accounting, replica L3 copies *)
+  mutable replica_batch_serial : int;
+}
+(** The cluster's interconnect, directory, replication and restore
+    counters. *)
+
 type request_run = {
   rid : int;
   workload : string;
@@ -162,60 +199,65 @@ type core_summary = {
   served : int;
   busy_cycles : int;
   bank_stall_cycles : int;  (** local shared-LUT arbitration *)
+  retried : int;  (** local arbitrations lost *)
   net_stall_cycles : int;  (** NIC contention, settled post hoc *)
   net_latency_cycles : int;  (** synchronous remote-probe round trips *)
   finish_cycles : int;  (** busy + every settled addition *)
   lookups : int;
   hits : int;
   hit_rate : float;
-  baseline_cycles : int;
-  speedup : float;
+  baseline_cycles : int;  (** un-memoized single-core cost of its requests *)
+  speedup : float;  (** baseline over finish cycles; always finite *)
+  way_range : int * int;  (** final allocation in the node's shared LUT *)
+  shadow_hits : int;  (** the core's hits in its node's shared LUT *)
+}
+
+type l3_summary = {
+  tier : Axmemo_tier.Dram_lut.stats;  (** [inserts] counts absorbed spills *)
+  occupancy : int;
+  capacity : int;
+}
+(** A node's DRAM tier at the end of the run. *)
+
+type node_summary = {
+  bank_accesses : int;  (** accesses recorded by the node's bank arbiter *)
+  bank_contended : int;  (** of those, how many lost arbitration *)
+  contention_cycles : int;  (** bank stalls summed over the node's cores *)
+  contention_pj : float;  (** [bank_contended] at the L2 access energy *)
+  repartitions : int;
+  shared_occupancy : int;
+  l3 : l3_summary option;  (** [None] unless the node config has a tier *)
+  faults : Axmemo_faults.Injector.stats option;
+      (** [None] unless the node config sets [faults] *)
+  snapshots : (string * Axmemo_telemetry.Registry.snapshot) list;
+      (** the node's ["core<i>"] and ["cluster"] registries, unprefixed;
+          empty unless run with [~metrics:true] *)
 }
 
 type outcome = {
   cfg : config;
   requests : request_run list;
-  cores : core_summary array;
+  cores : core_summary array;  (** per global core *)
+  per_node : node_summary array;
   makespan_cycles : int;
-  throughput_rps : float;
-  speedup : float;
+  throughput_rps : float;  (** requests per simulated second *)
+  speedup : float;  (** sum of baselines over the makespan; always finite *)
   aggregate_hit_rate : float;
   fairness : float;  (** Jain over per-core finish cycles *)
-  shard_accesses : int array;  (** shared-level accesses homed per node *)
-  shard_balance : float;  (** Jain over [shard_accesses] *)
-  remote_probes : int;
-  remote_hits : int;
-  remote_inserts : int;
-  replica_installs : int;
-  replica_hits : int;
-  replica_invalidations : int;
+  shard_balance : float;  (** Jain over [stats.shard_accesses] *)
   replication_hit_share : float;
       (** replica hits over all remote-homed hits (replica + probe) *)
-  inv_events : int;  (** retired invalidate instructions *)
-  inv_sent : int;  (** point-to-point node messages delivered *)
-  inv_filtered : int;  (** skipped: destination not a registered sharer *)
   inv_broadcast_equivalent : int;
       (** [inv_events * (nodes * cores_per_node - 1)] — the per-core
           fan-out a flat broadcast machine would deliver (the measured
           [corun.invalidate.*] baseline); the directory coalesces to one
           message per sharer node and filters non-sharers on top *)
-  net_messages : int;
-  net_hops : int;  (** link traversals, probe responses included *)
-  net_pj : float;  (** [net_hops * net_hop_pj]; beside, not in, total_pj *)
-  net_latency_cycles : int;
-  net_contended : int;
-  net_stall_cycles : int;
-  bank_stall_cycles : int;
+  stats : stats;  (** a copy of the live counters at the end of the run *)
+  net : Axmemo_multicore.Arbiter.settlement;  (** the interconnect's *)
   coherence_keys : int;
       (** (lut, key) pairs simultaneously valid in several SRAM structures
           cluster-wide (DRAM tiers excluded: approximate by contract) *)
   coherence_divergent : int;  (** the subset holding diverging payloads *)
-  restore_entries : int;
-  restore_amortised : int;  (** DRAM row activations, batched restore *)
-  restore_serial : int;  (** an entry-at-a-time replay's cost *)
-  replica_batch_amortised : int;  (** same accounting, replica L3 copies *)
-  replica_batch_serial : int;
-  snapshots : (string * Axmemo_telemetry.Registry.snapshot) list;
   profiles : Axmemo_obs.Profile.snapshot array option;  (** per global core *)
   messages : msg list;  (** send order, for the trace *)
 }
@@ -232,7 +274,18 @@ and msg = {
 and msg_kind = Probe | Insert | Inv_lut | Inv_replica
 
 val run_keep : ?metrics:bool -> ?profile:bool -> config -> outcome * t
+(** {!run}, but also hands back the cluster with its warm end-of-run LUT
+    state — the closed-stream warmer behind [axmemo snapshot save]. *)
+
 val run : ?metrics:bool -> ?profile:bool -> config -> outcome
+(** Simulates one closed stream of [node.requests] requests: dispatches
+    them with {!Axmemo_multicore.Schedule.dispatch} over every global core,
+    settles, and measures coherence divergence across every SRAM LUT
+    structure. Baseline cycles come from a fresh un-memoized
+    [Runner.run Baseline] per workload. With [~profile:true] each core
+    carries an {!Axmemo_obs.Profile} collector with settled stalls charged
+    back to its regions; all scheduling and cycle results are bit-identical
+    either way. *)
 
 val run_matrix : ?jobs:int -> ?profile:bool -> config list -> outcome list
 (** Each cell with [~metrics:true]; byte-identical for any [?jobs]. *)
@@ -252,6 +305,35 @@ val report : ?series_cap:int -> outcome list -> Axmemo_util.Json.t
     ["cluster"] array (cores, schedule head, message accounting). *)
 
 val write_report : ?series_cap:int -> string -> outcome list -> unit
+
+(** {2 The co-run report}
+
+    1-node outcomes rendered in the co-run's shape: rows labelled
+    [<Corun.label node>:<who>], a top-level ["corun"] array of per-node
+    aggregates. *)
+
+val corun_report_runs :
+  ?series_cap:int ->
+  ?per_core:bool ->
+  outcome list ->
+  Axmemo_telemetry.Report.run list
+(** One row per node registry ([core<i>] and [cluster] per outcome), series
+    decimated to [series_cap]; what {!corun_report} embeds and what CSV
+    export flattens. [~per_core:false] keeps only the [cluster] registries
+    — per-core aggregates stay available in the ["corun"] block, so a big
+    matrix can ship a small report. When the outcome carries profiles,
+    each [core<i>] row embeds that core's ["profile"] section and the
+    [cluster] row the {!Axmemo_obs.Profile.merge} of all of them.
+    @raise Invalid_argument on an outcome with more than one node. *)
+
+val corun_report :
+  ?series_cap:int -> ?per_core:bool -> outcome list -> Axmemo_util.Json.t
+(** Schema-v1 report; extra fields: [root_seed] and the ["corun"] array
+    (bank arbitration, partitioning, the DRAM tier when configured, fault
+    accounting, per-core summaries and the schedule head). *)
+
+val write_corun_report :
+  ?series_cap:int -> ?per_core:bool -> string -> outcome list -> unit
 
 val trace : outcome -> Axmemo_telemetry.Tracer.t
 (** Chrome-trace with one row per node's NIC: each message is a span from

@@ -1,14 +1,11 @@
 module Interp = Axmemo_ir.Interp
 module Hierarchy = Axmemo_cache.Hierarchy
 module Pipeline = Axmemo_cpu.Pipeline
-module Machine = Axmemo_cpu.Machine
 module Memo_unit = Axmemo_memo.Memo_unit
-module Model = Axmemo_energy.Model
 module Transform = Axmemo_compiler.Transform
 module Workload = Axmemo_workloads.Workload
 module Workloads = Axmemo_workloads.Registry
 module Registry = Axmemo_telemetry.Registry
-module Report = Axmemo_telemetry.Report
 module Timing = Axmemo_isa.Timing
 module Fault_model = Axmemo_faults.Fault_model
 module Injector = Axmemo_faults.Injector
@@ -16,9 +13,6 @@ module Runner = Axmemo.Runner
 module Profile = Axmemo_obs.Profile
 module Dram_lut = Axmemo_tier.Dram_lut
 module Snapshot = Axmemo_tier.Snapshot
-module Json = Axmemo_util.Json
-module Pool = Axmemo_util.Pool
-module Rng = Axmemo_util.Rng
 
 type config = {
   ncores : int;
@@ -61,8 +55,6 @@ let label cfg =
     (match cfg.l3 with
     | None -> ""
     | Some c -> Printf.sprintf ",l3=%dKB" (c.Dram_lut.size_bytes / 1024))
-
-let machine = Machine.hpi
 
 (* ---- workload mix ----------------------------------------------------- *)
 
@@ -306,6 +298,7 @@ let invalidations_sent cluster =
     (fun acc c -> acc + (Memo_unit.stats c.unit_).Memo_unit.invalidations)
     0 cluster.cores
 let dram_lut cluster = cluster.l3
+let fault_stats cluster = Option.map Injector.stats cluster.injector
 let collectors cluster = cluster.profiles
 
 (* The corun.invalidate.* counter family is created on first use, so a run
@@ -449,12 +442,11 @@ let exec_request cluster ~workload ~core ~start =
       Interp.no_hooks)
     ~program ~hierarchy:c.hierarchy instance
 
-(* ---- serve-layer access ------------------------------------------------
+(* ---- settlement and metrics --------------------------------------------
 
-   The open-loop service model (lib/serve) drives a cluster request by
-   request through its own dispatcher instead of [run]'s closed stream, so
-   besides [exec_request] the post-hoc arbitration settlement and the
-   metric flush/snapshot step are exposed individually. *)
+   Every stream driver (the cluster's closed stream, the serve layer's open
+   one) dispatches requests through [exec_request], then settles the
+   arbiter once and flushes the registries. *)
 
 let settle_arbiter cluster = Arbiter.settle cluster.arbiter ~ncores:cluster.cfg.ncores
 
@@ -478,71 +470,6 @@ let cluster_snapshots cluster =
   | Some reg -> [ ("cluster", Registry.snapshot reg) ]
   | None -> []
 
-(* ---- the co-run ------------------------------------------------------- *)
-
-type request_run = {
-  rid : int;
-  workload : string;
-  core : int;
-  start : int;
-  finish : int;
-  result : Runner.result;
-}
-
-type core_summary = {
-  core : int;
-  served : int;
-  busy_cycles : int;  (* execution only *)
-  contention_cycles : int;  (* arbitration stalls charged at settlement *)
-  retried : int;
-  finish_cycles : int;  (* busy + contention *)
-  lookups : int;
-  hits : int;
-  hit_rate : float;
-  baseline_cycles : int;  (* un-memoized single-core cost of its requests *)
-  speedup : float;
-  way_range : int * int;  (* final shared-LUT allocation *)
-  shadow_hits : int;
-}
-
-(* End-of-run DRAM tier aggregate; present only when the config asked for
-   the tier, so tier-less outcome JSON is byte-identical to before. *)
-type l3_summary = {
-  l3_probes : int;
-  l3_tier_hits : int;
-  l3_misses : int;
-  l3_spills : int;
-  l3_evictions : int;
-  l3_row_activations : int;
-  l3_row_hits : int;
-  l3_corrupted_reads : int;
-  l3_occupancy : int;
-  l3_capacity : int;
-}
-
-type outcome = {
-  cfg : config;
-  requests : request_run list;
-  cores : core_summary array;
-  makespan_cycles : int;
-  throughput_rps : float;
-  speedup : float;  (* aggregate: sum of baselines over the makespan *)
-  aggregate_hit_rate : float;
-  fairness : float;
-  shared_accesses : int;
-  contended_accesses : int;
-  contention_cycles : int;
-  contention_pj : float;
-  repartitions : int;
-  shared_occupancy : int;
-  coherence_keys : int;  (* (lut, key) pairs present in several structures *)
-  coherence_divergent : int;  (* of those, tags equal but data unequal *)
-  l3 : l3_summary option;
-  faults : Injector.stats option;
-  snapshots : (string * Registry.snapshot) list;
-  profiles : Profile.snapshot array option;  (* per core, core order *)
-}
-
 (* The paper's no-coherence argument, measured: given every structure's
    valid entries, count (lut_id, key) pairs that appear in more than one of
    them — and how many of those hold diverging payloads. *)
@@ -561,156 +488,6 @@ let coherence structures =
       | p :: rest ->
           (keys + 1, if List.for_all (fun q -> q = p) rest then divergent else divergent + 1))
     tbl (0, 0)
-
-(* The DRAM tier is deliberately excluded: its relaxed payload cells are
-   approximate by contract, so an entry that decayed there is not a
-   coherence violation. *)
-let coherence_check (cluster : cluster) =
-  coherence
-    (Array.to_list (Array.map (fun c -> Memo_unit.lut_entries c.unit_) cluster.cores)
-    @ [ Shared_lut.entries cluster.shared ])
-
-let run_keep ?(metrics = false) ?(profile = false) cfg =
-  let cluster = create_cluster ~metrics ~profile cfg in
-  let stream = Schedule.stream ~workloads:cfg.workloads ~requests:cfg.requests in
-  let mix_of =
-    let tbl = Hashtbl.create 8 in
-    List.iter (fun e -> Hashtbl.replace tbl e.wname e) cluster.mix;
-    fun name -> Hashtbl.find tbl name
-  in
-  (* Un-memoized single-core reference per workload, for per-core speedup. *)
-  let baselines = Hashtbl.create 8 in
-  let baseline_of name =
-    match Hashtbl.find_opt baselines name with
-    | Some c -> c
-    | None ->
-        let e = mix_of name in
-        let r = Runner.run Runner.Baseline (e.make cfg.variant) in
-        Hashtbl.replace baselines name r.Runner.cycles;
-        r.Runner.cycles
-  in
-  let placements, busy =
-    Schedule.dispatch ~ncores:cfg.ncores
-      ~run:(fun (r : Schedule.request) ~core ~start ->
-        let result = exec_request cluster ~workload:r.Schedule.workload ~core ~start in
-        (result.Runner.cycles, result))
-      stream
-  in
-  let settlement = Arbiter.settle cluster.arbiter ~ncores:cfg.ncores in
-  (* The settled stalls flow back to (core, region) through the tag each
-     shared-LUT access was recorded with. *)
-  (match cluster.profiles with
-  | Some ps ->
-      List.iter
-        (fun (core, tag, cycles) ->
-          if tag >= 0 then Profile.note_contention ps.(core) ~lut:tag ~cycles)
-        settlement.Arbiter.tag_stalls
-  | None -> ());
-  let requests =
-    List.map
-      (fun (p : Runner.result Schedule.placement) ->
-        {
-          rid = p.Schedule.request.Schedule.rid;
-          workload = p.Schedule.request.Schedule.workload;
-          core = p.Schedule.core;
-          start = p.Schedule.start;
-          finish = p.Schedule.finish;
-          result = p.Schedule.payload;
-        })
-      placements
-  in
-  let cores =
-    Array.init cfg.ncores (fun i ->
-        let mine = List.filter (fun (r : request_run) -> r.core = i) requests in
-        let served = List.length mine in
-        let lookups = List.fold_left (fun a r -> a + r.result.Runner.lookups) 0 mine in
-        let hits = List.fold_left (fun a r -> a + r.result.Runner.hits) 0 mine in
-        let baseline_cycles =
-          List.fold_left (fun a r -> a + baseline_of r.workload) 0 mine
-        in
-        let busy_cycles = busy.(i) in
-        let contention_cycles = settlement.Arbiter.stall_cycles.(i) in
-        let finish_cycles = busy_cycles + contention_cycles in
-        {
-          core = i;
-          served;
-          busy_cycles;
-          contention_cycles;
-          retried = settlement.Arbiter.retried.(i);
-          finish_cycles;
-          lookups;
-          hits;
-          hit_rate = (if lookups = 0 then 0.0 else float_of_int hits /. float_of_int lookups);
-          baseline_cycles;
-          speedup =
-            (if baseline_cycles = 0 && finish_cycles = 0 then 1.0
-             else float_of_int baseline_cycles /. float_of_int (max 1 finish_cycles));
-          way_range = Shared_lut.way_range cluster.shared ~core:i;
-          shadow_hits = (Shared_lut.shadow_hits cluster.shared).(i);
-        })
-  in
-  let makespan_cycles = Array.fold_left (fun a c -> max a c.finish_cycles) 0 cores in
-  let total_lookups = Array.fold_left (fun a c -> a + c.lookups) 0 cores in
-  let total_hits = Array.fold_left (fun a c -> a + c.hits) 0 cores in
-  let total_baseline = Array.fold_left (fun a c -> a + c.baseline_cycles) 0 cores in
-  let contention_cycles = Array.fold_left ( + ) 0 settlement.Arbiter.stall_cycles in
-  let keys, divergent = coherence_check cluster in
-  flush_metrics cluster;
-  let snapshots = cluster_snapshots cluster in
-  let l3 =
-    Option.map
-      (fun d ->
-        let s = Dram_lut.stats d in
-        {
-          l3_probes = s.Dram_lut.probes;
-          l3_tier_hits = s.Dram_lut.hits;
-          l3_misses = s.Dram_lut.misses;
-          l3_spills = s.Dram_lut.inserts;
-          l3_evictions = s.Dram_lut.evictions;
-          l3_row_activations = s.Dram_lut.row_activations;
-          l3_row_hits = s.Dram_lut.row_hits;
-          l3_corrupted_reads = s.Dram_lut.corrupted_reads;
-          l3_occupancy = Dram_lut.occupancy d;
-          l3_capacity = Dram_lut.capacity_entries d;
-        })
-      cluster.l3
-  in
-  ( {
-    cfg;
-    requests;
-    cores;
-    makespan_cycles;
-    throughput_rps =
-      (if makespan_cycles = 0 then 0.0
-       else
-         float_of_int cfg.requests
-         /. (float_of_int makespan_cycles /. (machine.Machine.freq_ghz *. 1e9)));
-    speedup =
-      (if total_baseline = 0 && makespan_cycles = 0 then 1.0
-       else float_of_int total_baseline /. float_of_int (max 1 makespan_cycles));
-    aggregate_hit_rate =
-      (if total_lookups = 0 then 0.0
-       else float_of_int total_hits /. float_of_int total_lookups);
-    fairness =
-      Schedule.jain_fairness
-        (Array.map (fun c -> float_of_int c.finish_cycles) cores);
-    shared_accesses = settlement.Arbiter.accesses;
-    contended_accesses = settlement.Arbiter.contended;
-    contention_cycles;
-    contention_pj =
-      float_of_int settlement.Arbiter.contended *. Model.default_constants.Model.l2_access_pj;
-    repartitions = Shared_lut.repartitions cluster.shared;
-    shared_occupancy = Shared_lut.occupancy cluster.shared;
-    coherence_keys = keys;
-    coherence_divergent = divergent;
-    l3;
-    faults = Option.map Injector.stats cluster.injector;
-    snapshots;
-    profiles = Option.map (Array.map Profile.snapshot) cluster.profiles;
-  },
-    cluster )
-
-let run ?metrics ?profile cfg = fst (run_keep ?metrics ?profile cfg)
 
 (* ---- warm-LUT snapshots ------------------------------------------------
 
@@ -757,171 +534,3 @@ let restore_snapshot_stats (cluster : cluster) (snap : Snapshot.t) =
       serial := sr
   | _ -> ());
   (!restored, !amortised, !serial)
-
-let restore_snapshot (cluster : cluster) (snap : Snapshot.t) =
-  let restored, _amortised, _serial = restore_snapshot_stats cluster snap in
-  restored
-
-let run_matrix ?jobs ?(profile = false) cfgs =
-  Pool.run ?jobs (fun cfg -> run ~metrics:true ~profile cfg) cfgs
-
-(* ---- report ----------------------------------------------------------- *)
-
-let core_summary_json c =
-  let lo, hi = c.way_range in
-  Json.Obj
-    [
-      ("core", Json.Int c.core);
-      ("served", Json.Int c.served);
-      ("busy_cycles", Json.Int c.busy_cycles);
-      ("contention_cycles", Json.Int c.contention_cycles);
-      ("retried", Json.Int c.retried);
-      ("finish_cycles", Json.Int c.finish_cycles);
-      ("lookups", Json.Int c.lookups);
-      ("hits", Json.Int c.hits);
-      ("hit_rate", Json.Float c.hit_rate);
-      ("baseline_cycles", Json.Int c.baseline_cycles);
-      ("speedup", Json.Float c.speedup);
-      ("way_lo", Json.Int lo);
-      ("way_hi", Json.Int hi);
-      ("shadow_hits", Json.Int c.shadow_hits);
-    ]
-
-(* Keep checked-in reports small: only the head of the schedule is listed
-   row by row; everything else is already aggregated per core. *)
-let schedule_head_rows = 24
-
-let outcome_json o =
-  let cfg = o.cfg in
-  let head = List.filteri (fun i _ -> i < schedule_head_rows) o.requests in
-  (* The "l3" block appears only for tier-configured runs so tier-less
-     reports stay byte-identical to their committed baselines. *)
-  let l3_fields =
-    match o.l3 with
-    | None -> []
-    | Some t ->
-        [
-          ( "l3",
-            Json.Obj
-              [
-                ("probes", Json.Int t.l3_probes);
-                ("hits", Json.Int t.l3_tier_hits);
-                ("misses", Json.Int t.l3_misses);
-                ("spills", Json.Int t.l3_spills);
-                ("evictions", Json.Int t.l3_evictions);
-                ("row_activations", Json.Int t.l3_row_activations);
-                ("row_hits", Json.Int t.l3_row_hits);
-                ("corrupted_reads", Json.Int t.l3_corrupted_reads);
-                ("occupancy", Json.Int t.l3_occupancy);
-                ("capacity", Json.Int t.l3_capacity);
-              ] );
-        ]
-  in
-  Json.Obj
-    ([
-      ("label", Json.Str (label cfg));
-      ("ncores", Json.Int cfg.ncores);
-      ("partition", Json.Str (Shared_lut.partition_name cfg.partition));
-      ("l1_bytes", Json.Int cfg.l1_bytes);
-      ("shared_l2_bytes", Json.Int cfg.shared_l2_bytes);
-      ("banks", Json.Int cfg.banks);
-      ("ports", Json.Int cfg.ports);
-      ("workloads", Json.Arr (List.map (fun w -> Json.Str w) cfg.workloads));
-      ("requests", Json.Int cfg.requests);
-      ("makespan_cycles", Json.Int o.makespan_cycles);
-      ("throughput_rps", Json.Float o.throughput_rps);
-      ("speedup", Json.Float o.speedup);
-      ("aggregate_hit_rate", Json.Float o.aggregate_hit_rate);
-      ("fairness", Json.Float o.fairness);
-      ("shared_accesses", Json.Int o.shared_accesses);
-      ("contended_accesses", Json.Int o.contended_accesses);
-      ("contention_cycles", Json.Int o.contention_cycles);
-      ("contention_pj", Json.Float o.contention_pj);
-      ("repartitions", Json.Int o.repartitions);
-      ("shared_occupancy", Json.Int o.shared_occupancy);
-      ("coherence_keys", Json.Int o.coherence_keys);
-      ("coherence_divergent", Json.Int o.coherence_divergent);
-      ("cores", Json.Arr (Array.to_list (Array.map core_summary_json o.cores)));
-      ( "schedule_head",
-        Json.Arr
-          (List.map
-             (fun r ->
-               Json.Str
-                 (Printf.sprintf "r%d %s core%d [%d..%d] hit=%.3f" r.rid r.workload
-                    r.core r.start r.finish r.result.Runner.hit_rate))
-             head) );
-      ("schedule_rows_omitted", Json.Int (max 0 (List.length o.requests - schedule_head_rows)));
-      ( "faults",
-        match o.faults with
-        | None -> Json.Null
-        | Some s ->
-            Json.Obj
-              [
-                ("injected", Json.Int s.Injector.injected_total);
-                ("sdc_hits", Json.Int s.Injector.sdc_hits);
-                ("parity_detected", Json.Int s.Injector.parity_detected);
-                ("secded_corrected", Json.Int s.Injector.secded_corrected);
-                ("secded_detected", Json.Int s.Injector.secded_detected);
-                ("tag_aliases", Json.Int s.Injector.tag_aliases);
-              ] );
-    ]
-    @ l3_fields)
-
-let default_series_cap = 32
-
-(* The "cluster" run carries the merged (all-cores) profile; each "core<i>"
-   run carries its own. Merging per-core snapshots in core order is a
-   pointwise sum, so the report is byte-identical for any [--jobs]. *)
-let profile_json_for o who =
-  match o.profiles with
-  | None -> None
-  | Some ps ->
-      if who = "cluster" then
-        Some (Profile.to_json (Profile.merge (Array.to_list ps)))
-      else if String.length who > 4 && String.sub who 0 4 = "core" then
-        match int_of_string_opt (String.sub who 4 (String.length who - 4)) with
-        | Some i when i >= 0 && i < Array.length ps -> Some (Profile.to_json ps.(i))
-        | _ -> None
-      else None
-
-let report_runs ?(series_cap = default_series_cap) ?(per_core = true) outcomes =
-  List.concat_map
-      (fun o ->
-        let snaps =
-          if per_core then o.snapshots
-          else List.filter (fun (who, _) -> who = "cluster") o.snapshots
-        in
-        List.map
-          (fun (who, snap) ->
-            {
-              Report.benchmark = String.concat "+" o.cfg.workloads;
-              config = Printf.sprintf "%s:%s" (label o.cfg) who;
-              summary =
-                [
-                  ("makespan_cycles", Json.Int o.makespan_cycles);
-                  ("throughput_rps", Json.Float o.throughput_rps);
-                  ("aggregate_hit_rate", Json.Float o.aggregate_hit_rate);
-                  ("fairness", Json.Float o.fairness);
-                ];
-              metrics = Registry.decimate ~cap:series_cap snap;
-              profile = profile_json_for o who;
-              service = None;
-              cluster = None;
-              timeline = None;
-              alerts = None;
-            })
-          snaps)
-    outcomes
-
-let report ?series_cap ?per_core outcomes =
-  let runs = report_runs ?series_cap ?per_core outcomes in
-  let extra =
-    [
-      ("root_seed", Json.Str (Int64.to_string (Rng.root_seed ())));
-      ("corun", Json.Arr (List.map outcome_json outcomes));
-    ]
-  in
-  Report.make ~extra runs
-
-let write_report ?series_cap ?per_core path outcomes =
-  Json.write_file ~indent:2 path (report ?series_cap ?per_core outcomes)

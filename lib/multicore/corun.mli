@@ -1,17 +1,20 @@
-(** The N-core co-run simulator.
+(** One co-run node: N cores sharing one L2 LUT.
 
     Each core owns a private pipeline, data-cache hierarchy, hash/value
     registers and L1 LUT (all reused from the single-core model); every
     core's L2-level memoization traffic goes to one {!Shared_lut} carved
     from the shared LLC, with bank/port contention charged by an
-    {!Arbiter} and requests placed by {!Schedule}. A fixed request stream
-    keeps the LUTs warm across requests, which is where the co-run
-    throughput of the paper's Section 6 comes from.
+    {!Arbiter}. This module is the node and what it does per request; the
+    closed request stream that keeps the LUTs warm across requests (the
+    co-run throughput of the paper's Section 6) is driven by
+    [Axmemo_cluster.Cluster.run], whose [nodes = 1] case is the co-run, and
+    the open-loop stream by [Axmemo_serve.Serve.run].
 
-    Determinism contract: with a fixed root seed, [run] and [run_matrix]
-    are pure functions of their configuration — reports are byte-identical
-    for any [--jobs] setting, and a 1-core free-for-all co-run of a single
-    workload reproduces [Runner.run (Hw_memo ...)] bit for bit. *)
+    Determinism contract: requests execute one at a time in the driver's
+    dispatch order, so every result is a pure function of the configuration
+    and that order; a 1-core free-for-all co-run of a single workload with
+    [retain_luts = false] reproduces [Runner.run (Hw_memo ...)] bit for
+    bit. *)
 
 type config = {
   ncores : int;
@@ -125,42 +128,41 @@ val coherence : (int * int64 * int64) list list -> int * int
 val dram_lut : cluster -> Axmemo_tier.Dram_lut.t option
 (** The cluster's DRAM tier, when the config asked for one. *)
 
+val fault_stats : cluster -> Axmemo_faults.Injector.stats option
+(** The fault injector's cumulative accounting, when the config set
+    [faults]. *)
+
 val capture_snapshot : cluster -> Axmemo_tier.Snapshot.t
 (** Serialize every LUT level's warm contents: sections ["l1.<core>"] per
     private L1, ["l2"] the shared level, ["l3"] the DRAM tier (when
     attached), each ordered oldest-first so a restore reproduces recency
     state. Deterministic for a deterministic run. *)
 
-val restore_snapshot : cluster -> Axmemo_tier.Snapshot.t -> int
+val restore_snapshot_stats : cluster -> Axmemo_tier.Snapshot.t -> int * int * int
 (** Replay a snapshot's sections into a freshly created cluster (before any
-    request runs); returns the number of entries restored. Sections that
-    do not match the cluster's shape (extra cores, an [l3] section with no
-    tier attached) are skipped, so a snapshot from a wider configuration
-    degrades gracefully. Restoring draws no fault events and leaves
-    telemetry counters untouched. DRAM-tier sections go through
+    request runs). Returns [(restored, amortised, serial)]: the number of
+    entries restored, and the DRAM tier's batch-warming accounting — the
+    row activations the row-sorted fill cost vs an entry-at-a-time replay
+    (both 0 when the snapshot has no [l3] section or no tier is attached).
+    Sections that do not match the cluster's shape (extra cores, an [l3]
+    section with no tier attached) are skipped, so a snapshot from a wider
+    configuration degrades gracefully. Restoring draws no fault events and
+    leaves telemetry counters untouched. DRAM-tier sections go through
     {!Axmemo_tier.Dram_lut.bulk_fill} (row-sorted batch warming; identical
     final state). *)
 
-val restore_snapshot_stats : cluster -> Axmemo_tier.Snapshot.t -> int * int * int
-(** Like {!restore_snapshot} but also returns the DRAM tier's batch-warming
-    accounting: [(restored, amortised, serial)] row activations — what the
-    row-sorted fill cost vs an entry-at-a-time replay. Both are 0 when the
-    snapshot has no [l3] section or no tier is attached. *)
+(** {2 Per-request execution and settlement}
 
-(** {2 Serve-layer access}
-
-    The open-loop service model ({!Axmemo_serve.Serve}) drives a cluster
-    request by request through its own dispatcher, so per-request
-    execution, arbitration settlement and the metric flush/snapshot step
-    are exposed individually. [run] below composes exactly these. *)
+    Stream drivers — [Axmemo_cluster.Cluster]'s closed stream and the
+    open-loop service model — dispatch requests through {!exec_request},
+    then settle, flush and snapshot once after the last request. *)
 
 val exec_request :
   cluster -> workload:string -> core:int -> start:int -> Axmemo.Runner.result
 (** Execute one invocation of [workload] on [core] with the core's cycle
-    base set to [start] — the per-request step of [run], exposed for
-    open-loop dispatchers. LUT/cache warm state carries over between calls
-    exactly as inside [run]; callers must issue requests in their
-    dispatcher's canonical order for results to stay deterministic.
+    base set to [start]. LUT/cache warm state carries over between calls;
+    callers must issue requests in their dispatcher's canonical order for
+    results to stay deterministic.
     @raise Invalid_argument when [workload] is not in the cluster's mix. *)
 
 val settle_arbiter : cluster -> Arbiter.settlement
@@ -174,122 +176,3 @@ val flush_metrics : cluster -> unit
 val cluster_snapshots : cluster -> (string * Axmemo_telemetry.Registry.snapshot) list
 (** The ["core<i>"] and ["cluster"] registry snapshots (empty list unless
     the cluster was created with [~metrics:true]). *)
-
-(** {1 Running} *)
-
-type request_run = {
-  rid : int;
-  workload : string;
-  core : int;
-  start : int;
-  finish : int;
-  result : Axmemo.Runner.result;
-}
-
-type core_summary = {
-  core : int;
-  served : int;
-  busy_cycles : int;  (** execution only *)
-  contention_cycles : int;  (** arbitration stalls charged at settlement *)
-  retried : int;
-  finish_cycles : int;  (** busy + contention *)
-  lookups : int;
-  hits : int;
-  hit_rate : float;
-  baseline_cycles : int;  (** un-memoized single-core cost of its requests *)
-  speedup : float;  (** baseline over (busy + contention); always finite *)
-  way_range : int * int;  (** final shared-LUT allocation *)
-  shadow_hits : int;
-}
-
-type l3_summary = {
-  l3_probes : int;
-  l3_tier_hits : int;
-  l3_misses : int;
-  l3_spills : int;  (** shared-level victims absorbed (posted writes) *)
-  l3_evictions : int;
-  l3_row_activations : int;
-  l3_row_hits : int;
-  l3_corrupted_reads : int;  (** reads that exposed a decayed relaxed bit *)
-  l3_occupancy : int;
-  l3_capacity : int;
-}
-
-type outcome = {
-  cfg : config;
-  requests : request_run list;
-  cores : core_summary array;
-  makespan_cycles : int;
-  throughput_rps : float;  (** requests per simulated second *)
-  speedup : float;  (** sum of baselines over the makespan; always finite *)
-  aggregate_hit_rate : float;
-  fairness : float;  (** Jain's index over per-core finish cycles *)
-  shared_accesses : int;
-  contended_accesses : int;
-  contention_cycles : int;
-  contention_pj : float;  (** re-issued probes at the L2 access energy *)
-  repartitions : int;
-  shared_occupancy : int;
-  coherence_keys : int;
-      (** (lut, key) pairs simultaneously present in several structures *)
-  coherence_divergent : int;  (** of those, how many hold unequal payloads *)
-  l3 : l3_summary option;
-      (** DRAM tier aggregate; [None] unless the config asked for the tier.
-          The coherence counts above deliberately exclude the tier — its
-          relaxed payload cells are approximate by contract. *)
-  faults : Axmemo_faults.Injector.stats option;
-  snapshots : (string * Axmemo_telemetry.Registry.snapshot) list;
-      (** ["core<i>"] per-core registries, ["cluster"] the shared LUT's;
-          empty unless [run ~metrics:true] *)
-  profiles : Axmemo_obs.Profile.snapshot array option;
-      (** per-core attribution profiles (core order), with shared-LUT
-          arbitration stalls already charged back to each core's regions;
-          [None] unless [run ~profile:true]. Merge with
-          {!Axmemo_obs.Profile.merge} for the cluster view. *)
-}
-
-val run_keep : ?metrics:bool -> ?profile:bool -> config -> outcome * cluster
-(** [run], but also hands back the cluster with its warm end-of-run LUT
-    state — the closed-stream warmer behind [axmemo snapshot save]
-    ({!capture_snapshot} the returned cluster). *)
-
-val run : ?metrics:bool -> ?profile:bool -> config -> outcome
-(** Simulates one co-run: streams the requests, dispatches them with
-    {!Schedule.dispatch}, settles arbitration, and measures coherence
-    divergence across all LUT levels. Baseline cycles come from a fresh
-    un-memoized [Runner.run Baseline] per workload. With [~profile:true]
-    each core carries an {!Axmemo_obs.Profile} collector over the mix's
-    remapped region list; all scheduling and cycle results are
-    bit-identical either way. *)
-
-val run_matrix : ?jobs:int -> ?profile:bool -> config list -> outcome list
-(** Runs each configuration as one independent cell (with metrics) fanned
-    over a domain pool; results are in input order and byte-identical to a
-    serial run. *)
-
-(** {1 Reports} *)
-
-val default_series_cap : int
-
-val report_runs :
-  ?series_cap:int ->
-  ?per_core:bool ->
-  outcome list ->
-  Axmemo_telemetry.Report.run list
-(** The per-registry report rows ([core<i>] and [cluster] per outcome),
-    series decimated to [series_cap]; what {!report} embeds and what CSV
-    export flattens. [~per_core:false] keeps only the cluster registries —
-    per-core aggregates stay available in the outcome block, so a big
-    matrix can ship a small report. When the outcome carries profiles,
-    each [core<i>] row embeds that core's ["profile"] section and the
-    [cluster] row the {!Axmemo_obs.Profile.merge} of all of them. *)
-
-val report :
-  ?series_cap:int -> ?per_core:bool -> outcome list -> Axmemo_util.Json.t
-(** Bounded report: telemetry series are decimated to [series_cap] samples
-    ({!Axmemo_telemetry.Registry.decimate}) and only the head of each
-    schedule is listed row by row, so the file stays small no matter how
-    long the streams were. *)
-
-val write_report :
-  ?series_cap:int -> ?per_core:bool -> string -> outcome list -> unit

@@ -281,7 +281,7 @@ let run (cfg : config) =
   Cluster.flush_metrics t;
   (* Arbitration stalls are charged at settlement, after the dispatch loop:
      fold each core's settled stall cycles into its busy time so the
-     makespan matches Corun.run's accounting (the Closed degenerate case is
+     makespan matches Cluster.run's accounting (the Closed degenerate case is
      bit-identical end to end, makespan included). *)
   let makespan =
     Array.fold_left max 0 (Array.mapi (fun i b -> b + settled.Cluster.stalls.(i)) busy)
@@ -638,7 +638,7 @@ let service_json o =
     ]
     @ warm_fields)
 
-let default_series_cap = Corun.default_series_cap
+let default_series_cap = Cluster.default_series_cap
 
 (* One report row per outcome: the serve registry concatenated with the
    cluster registry (names are disjoint and the union re-sorted, keeping

@@ -17,8 +17,8 @@
     are pure functions of their configuration (the only exception being
     [sim_wall_seconds], which is off the reports by default) — reports are
     byte-identical for any [--jobs] setting, and a [Closed] arrival run
-    with a large enough queue reproduces {!Axmemo_multicore.Corun.run}'s
-    per-request results bit for bit. *)
+    with a large enough queue reproduces the 1-node
+    {!Axmemo_cluster.Cluster.run}'s per-request results bit for bit. *)
 
 type watch_config = {
   window_cycles : int;

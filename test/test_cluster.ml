@@ -1,13 +1,18 @@
 (* Tests for the sharded multi-node cluster: shard-routing totality and
-   uniformity, the 1-node = Corun bit-identity guarantee, directory vs
+   uniformity, 1-node warm start matching a plain co-run node, directory vs
    broadcast invalidation semantics (same final LUT contents, strictly
-   fewer messages), replication hit-share monotonicity in the threshold,
-   serial/parallel report byte-identity, and the config validators behind
-   the CLI's flag hygiene. *)
+   fewer messages), the directory covering every resident entry,
+   settlement conservation, replication hit-share monotonicity in the
+   threshold, serial/parallel report byte-identity, and the config
+   validators behind the CLI's flag hygiene. *)
 
 module Cluster = Axmemo_cluster.Cluster
 module Corun = Axmemo_multicore.Corun
 module Snapshot = Axmemo_tier.Snapshot
+module Dram_lut = Axmemo_tier.Dram_lut
+module Shared_lut = Axmemo_multicore.Shared_lut
+module Arbiter = Axmemo_multicore.Arbiter
+module Memo_unit = Axmemo_memo.Memo_unit
 module Runner = Axmemo.Runner
 module Json = Axmemo_util.Json
 
@@ -68,57 +73,34 @@ let test_ring_hops () =
   Alcotest.(check int) "across" 2 (Cluster.ring_hops ~nodes:4 0 2);
   Alcotest.(check int) "self" 0 (Cluster.ring_hops ~nodes:4 2 2)
 
-(* --- 1-node cluster == Corun --- *)
+(* --- 1-node cluster = co-run warm start --- *)
 
 let test_single_node_identity () =
-  (* A 1-node cluster installs neither the routing port nor the directory
-     hook, so it must reproduce Corun.run on the node config outcome for
-     outcome: same placements, same per-request results, same aggregate
-     cycles (wall time excluded by contract). *)
-  let node =
-    { Corun.default with ncores = 2; workloads = [ "blackscholes"; "sobel" ]; requests = 6 }
-  in
-  let c = Cluster.run { Cluster.default with nodes = 1; node } in
-  let r = Corun.run node in
-  Alcotest.(check int) "makespan" r.Corun.makespan_cycles c.Cluster.makespan_cycles;
-  Alcotest.(check (float 0.0)) "speedup" r.Corun.speedup c.Cluster.speedup;
-  Alcotest.(check (float 0.0)) "throughput" r.Corun.throughput_rps c.Cluster.throughput_rps;
-  Alcotest.(check (float 0.0)) "hit rate" r.Corun.aggregate_hit_rate c.Cluster.aggregate_hit_rate;
-  Alcotest.(check (float 0.0)) "fairness" r.Corun.fairness c.Cluster.fairness;
-  Alcotest.(check int) "coherence keys" r.Corun.coherence_keys c.Cluster.coherence_keys;
-  Alcotest.(check int) "divergent" r.Corun.coherence_divergent c.Cluster.coherence_divergent;
-  Alcotest.(check int) "no net traffic" 0 c.Cluster.net_messages;
-  List.iter2
-    (fun (a : Corun.request_run) (b : Cluster.request_run) ->
-      Alcotest.(check int) "rid" a.Corun.rid b.Cluster.rid;
-      Alcotest.(check string) "workload" a.Corun.workload b.Cluster.workload;
-      Alcotest.(check int) "core" a.Corun.core b.Cluster.gcore;
-      Alcotest.(check int) "start" a.Corun.start b.Cluster.start;
-      Alcotest.(check int) "finish" a.Corun.finish b.Cluster.finish;
-      Alcotest.(check bool) "result bits" true
-        ({ b.Cluster.result with Runner.sim_wall_seconds = 0.0 }
-        = { a.Corun.result with Runner.sim_wall_seconds = 0.0 }))
-    r.Corun.requests c.Cluster.requests;
-  (* Warm start, the path a 1-node serve run takes: one Corun-captured
-     snapshot (small LUTs, so every level down to the DRAM tier holds
-     entries) restored into a fresh Corun cluster and into a fresh 1-node
-     cluster must land the same entries in the same recency order. *)
+  (* Warm start, the path a 1-node serve run takes: one node-0 capture of
+     a closed-stream warm-up (small LUTs, so every level down to the DRAM
+     tier holds entries) restored into a fresh Corun node and into a fresh
+     1-node cluster must land the same entries in the same recency order. *)
   let warm =
     {
-      node with
+      Corun.default with
+      ncores = 2;
+      workloads = [ "blackscholes"; "sobel" ];
+      requests = 6;
       l1_bytes = 1024;
       shared_l2_bytes = 4096;
       l3 = Some { Axmemo_tier.Dram_lut.default with size_bytes = 256 * 1024; row_bytes = 1024 };
     }
   in
-  let snap = Corun.capture_snapshot (snd (Corun.run_keep warm)) in
+  let o, warmed = Cluster.run_keep (Cluster.of_node warm) in
+  Alcotest.(check int) "no net traffic" 0 o.Cluster.stats.net_messages;
+  let snap = Corun.capture_snapshot (Cluster.node_cluster warmed ~node:0) in
   Alcotest.(check bool) "snapshot reaches the tier" true
     (match Snapshot.section snap "l3" with
     | Some s -> Array.length s.Snapshot.entries > 0
     | None -> false);
   let corun = Corun.create_cluster warm in
-  let one = Cluster.create { Cluster.default with nodes = 1; node = warm } in
-  let restored = Corun.restore_snapshot corun snap in
+  let one = Cluster.create (Cluster.of_node warm) in
+  let restored, _, _ = Corun.restore_snapshot_stats corun snap in
   Alcotest.(check bool) "entries restored" true (restored > 0);
   Alcotest.(check int) "restored count" restored (Cluster.restore_snapshot one snap);
   let unprefixed (s : Snapshot.section) =
@@ -165,21 +147,100 @@ let test_directory_equals_broadcast () =
     (Snapshot.to_bytes (Cluster.capture_snapshot tb))
     (Snapshot.to_bytes (Cluster.capture_snapshot td));
   Alcotest.(check bool) "same execution" true (strip_wall od = strip_wall ob);
-  Alcotest.(check int) "same events" ob.Cluster.inv_events od.Cluster.inv_events;
-  Alcotest.(check bool) "invalidates happened" true (od.Cluster.inv_events > 0);
+  let sd = od.Cluster.stats and sb = ob.Cluster.stats in
+  Alcotest.(check int) "same events" sb.Cluster.inv_events sd.Cluster.inv_events;
+  Alcotest.(check bool) "invalidates happened" true (sd.Cluster.inv_events > 0);
   (* Broadcast mode messages every other node per event. *)
   Alcotest.(check int) "broadcast sends everything"
-    (ob.Cluster.inv_events * 1)
-    ob.Cluster.inv_sent;
+    (sb.Cluster.inv_events * 1)
+    sb.Cluster.inv_sent;
   Alcotest.(check bool) "directory never sends more" true
-    (od.Cluster.inv_sent <= ob.Cluster.inv_sent);
+    (sd.Cluster.inv_sent <= sb.Cluster.inv_sent);
   Alcotest.(check int) "sent + filtered = node fan-out"
-    (od.Cluster.inv_events * 1)
-    (od.Cluster.inv_sent + od.Cluster.inv_filtered);
+    (sd.Cluster.inv_events * 1)
+    (sd.Cluster.inv_sent + sd.Cluster.inv_filtered);
   Alcotest.(check bool) "strictly beats flat core broadcast" true
-    (od.Cluster.inv_sent < od.Cluster.inv_broadcast_equivalent);
-  Alcotest.(check int) "flat fan-out" (od.Cluster.inv_events * 3)
+    (sd.Cluster.inv_sent < od.Cluster.inv_broadcast_equivalent);
+  Alcotest.(check int) "flat fan-out" (sd.Cluster.inv_events * 3)
     od.Cluster.inv_broadcast_equivalent
+
+(* --- directory covers residency --- *)
+
+(* 2 nodes x 2 cores with small SRAM LUTs, a DRAM tier and replication on
+   every remote hit: kmeans' mid-request phase-barrier invalidate lands
+   while replica tier copies are still queued for the end-of-request
+   flush. *)
+let replicated_tier_cluster =
+  {
+    Cluster.default with
+    nodes = 2;
+    replicate_threshold = 1;
+    node =
+      {
+        Corun.default with
+        ncores = 2;
+        workloads = [ "kmeans"; "sobel" ];
+        requests = 8;
+        l1_bytes = 1024;
+        shared_l2_bytes = 4096;
+        l3 = Some { Dram_lut.default with size_bytes = 256 * 1024; row_bytes = 1024 };
+      };
+  }
+
+(* Directory sharer masks must cover real residency: every valid entry in
+   a node's L1s, shared level and DRAM tier has that node's bit set in its
+   LUT's mask, or a later invalidate would skip a node holding the LUT. *)
+let check_directory_covers t =
+  for j = 0 to Cluster.nodes t - 1 do
+    let nd = Cluster.node_cluster t ~node:j in
+    let structures =
+      List.init (Cluster.cores_per_node t) (fun c ->
+          Memo_unit.lut_entries (Corun.core_unit nd ~core:c))
+      @ [ Shared_lut.entries (Corun.shared_lut nd) ]
+      @ Option.to_list (Option.map Dram_lut.entries (Corun.dram_lut nd))
+    in
+    let outside =
+      List.fold_left
+        (fun acc entries ->
+          acc
+          + List.length
+              (List.filter
+                 (fun (lut, _, _) -> Cluster.sharers t ~lut land (1 lsl j) = 0)
+                 entries))
+        0 structures
+    in
+    Alcotest.(check int) (Printf.sprintf "node %d entries outside the directory" j) 0 outside
+  done
+
+let test_directory_covers_residency () =
+  List.iter
+    (fun cfg -> check_directory_covers (snd (Cluster.run_keep cfg)))
+    [ replicated_tier_cluster; kmeans_cluster ~directory:true ]
+
+(* --- settlement conservation --- *)
+
+let test_settlement_conservation () =
+  (* Every settled access and stall is accounted exactly once: per-node
+     bank figures sum to the cluster settlement, and each core's finish
+     time is its busy time plus every settled addition. *)
+  let o, t = Cluster.run_keep replicated_tier_cluster in
+  Alcotest.(check bool) "replicas installed" true (o.Cluster.stats.replica_installs > 0);
+  (* Settlement is a pure function of the recorded logs (no profile
+     collectors are attached here), so settling again reproduces the run's. *)
+  let s = Cluster.settle t in
+  let sum f = Array.fold_left (fun a n -> a + f n) 0 o.Cluster.per_node in
+  Alcotest.(check int) "shared accesses"
+    s.Cluster.shared_accesses (sum (fun n -> n.Cluster.bank_accesses));
+  Alcotest.(check int) "contended accesses"
+    s.Cluster.contended_accesses
+    (sum (fun n -> n.Cluster.bank_contended) + o.Cluster.net.Arbiter.contended);
+  Array.iter
+    (fun (c : Cluster.core_summary) ->
+      Alcotest.(check int)
+        (Printf.sprintf "g%d finish" c.Cluster.gcore)
+        c.Cluster.finish_cycles
+        (c.busy_cycles + c.bank_stall_cycles + c.net_stall_cycles + c.net_latency_cycles))
+    o.Cluster.cores
 
 (* --- replication --- *)
 
@@ -200,11 +261,12 @@ let test_replication_monotone () =
   let o1 = Cluster.run (rep_cluster 1) in
   let o4 = Cluster.run (rep_cluster 4) in
   let off = Cluster.run (rep_cluster 0) in
-  Alcotest.(check bool) "replicas installed at t=1" true (o1.Cluster.replica_installs > 0);
-  Alcotest.(check bool) "replica hits at t=1" true (o1.Cluster.replica_hits > 0);
+  Alcotest.(check bool) "replicas installed at t=1" true
+    (o1.Cluster.stats.replica_installs > 0);
+  Alcotest.(check bool) "replica hits at t=1" true (o1.Cluster.stats.replica_hits > 0);
   Alcotest.(check bool) "share monotone" true
     (o1.Cluster.replication_hit_share >= o4.Cluster.replication_hit_share);
-  Alcotest.(check int) "off = no installs" 0 off.Cluster.replica_installs;
+  Alcotest.(check int) "off = no installs" 0 off.Cluster.stats.replica_installs;
   Alcotest.(check (float 0.0)) "off = zero share" 0.0 off.Cluster.replication_hit_share;
   Alcotest.(check bool) "share bounded" true
     (o1.Cluster.replication_hit_share >= 0.0 && o1.Cluster.replication_hit_share <= 1.0)
@@ -287,6 +349,9 @@ let () =
         [
           Alcotest.test_case "1-node = corun" `Quick test_single_node_identity;
           Alcotest.test_case "directory = broadcast" `Quick test_directory_equals_broadcast;
+          Alcotest.test_case "directory covers residency" `Quick
+            test_directory_covers_residency;
+          Alcotest.test_case "settlement conservation" `Quick test_settlement_conservation;
           Alcotest.test_case "replication monotone" `Quick test_replication_monotone;
           Alcotest.test_case "jobs byte-identical" `Quick test_matrix_jobs_byte_identical;
           Alcotest.test_case "scale-out" `Quick test_scale_out_throughput;

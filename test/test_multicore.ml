@@ -1,14 +1,16 @@
 (* Tests for the multi-core co-run subsystem: the shared L2 LUT (way
    partitioning, utility repartitioning), the post-hoc bank/port arbiter,
    the request scheduler, cross-core invalidate broadcast, the 1-core
-   bit-identity guarantee against the single-core runner, serial/parallel
-   report byte-identity, and the satellite guards (NaN-free ratios, bounded
-   report series, the per-domain CRC table cache). *)
+   bit-identity guarantee (a 1x1 Cluster.run against the single-core
+   runner), serial/parallel co-run report byte-identity, and the guards
+   (NaN-free ratios, bounded report series, the per-domain CRC table
+   cache). *)
 
 module Shared_lut = Axmemo_multicore.Shared_lut
 module Arbiter = Axmemo_multicore.Arbiter
 module Schedule = Axmemo_multicore.Schedule
 module Corun = Axmemo_multicore.Corun
+module Cluster = Axmemo_cluster.Cluster
 module Runner = Axmemo.Runner
 module Registry = Axmemo_telemetry.Registry
 module Json = Axmemo_util.Json
@@ -197,9 +199,9 @@ let test_invalidate_broadcast () =
 (* --- 1-core co-run == single-core runner --- *)
 
 let test_single_core_bit_identity () =
-  (* One core, free-for-all (= unrestricted victim selection), one request,
-     standalone epilogue retained: the co-run machinery must reproduce
-     [Runner.run] on the same configuration bit for bit. *)
+  (* One node of one core, free-for-all (= unrestricted victim selection),
+     one request, standalone epilogue retained: the closed-stream engine
+     must reproduce [Runner.run] on the same configuration bit for bit. *)
   let cfg =
     {
       Corun.default with
@@ -210,10 +212,10 @@ let test_single_core_bit_identity () =
       retain_luts = false;
     }
   in
-  let outcome = Corun.run cfg in
+  let outcome = Cluster.run (Cluster.of_node cfg) in
   let corun_r =
-    match outcome.Corun.requests with
-    | [ r ] -> r.Corun.result
+    match outcome.Cluster.requests with
+    | [ r ] -> r.Cluster.result
     | l -> Alcotest.failf "expected 1 request, got %d" (List.length l)
   in
   let _, make = Option.get (W.Registry.find "blackscholes") in
@@ -244,7 +246,8 @@ let test_matrix_jobs_byte_identical () =
       [ Shared_lut.Free_for_all; Shared_lut.Static ]
   in
   let render jobs =
-    Json.to_string ~indent:2 (Corun.report (Corun.run_matrix ~jobs cfgs))
+    Json.to_string ~indent:2
+      (Cluster.corun_report (Cluster.run_matrix ~jobs (List.map Cluster.of_node cfgs)))
   in
   Alcotest.(check string) "jobs=1 == jobs=4" (render 1) (render 4)
 
@@ -257,13 +260,14 @@ let test_warm_luts_accumulate () =
   let cfg =
     { Corun.default with ncores = 2; workloads = [ "blackscholes" ]; requests = 4 }
   in
-  let o = Corun.run cfg in
-  Alcotest.(check bool) "shared LUT warm" true (o.Corun.shared_occupancy > 0);
-  Alcotest.(check bool) "inclusive copies exist" true (o.Corun.coherence_keys > 0);
-  Alcotest.(check int) "no divergence" 0 o.Corun.coherence_divergent;
-  Alcotest.(check bool) "throughput positive" true (o.Corun.throughput_rps > 0.0);
+  let o = Cluster.run (Cluster.of_node cfg) in
+  Alcotest.(check bool) "shared LUT warm" true
+    (o.Cluster.per_node.(0).Cluster.shared_occupancy > 0);
+  Alcotest.(check bool) "inclusive copies exist" true (o.Cluster.coherence_keys > 0);
+  Alcotest.(check int) "no divergence" 0 o.Cluster.coherence_divergent;
+  Alcotest.(check bool) "throughput positive" true (o.Cluster.throughput_rps > 0.0);
   Alcotest.(check bool) "fairness in range" true
-    (o.Corun.fairness > 0.0 && o.Corun.fairness <= 1.0 +. 1e-9)
+    (o.Cluster.fairness > 0.0 && o.Cluster.fairness <= 1.0 +. 1e-9)
 
 (* --- satellite: NaN-free ratios --- *)
 

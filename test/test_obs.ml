@@ -13,6 +13,7 @@ module Runner = Axmemo.Runner
 module Workload = Axmemo_workloads.Workload
 module WReg = Axmemo_workloads.Registry
 module Corun = Axmemo_multicore.Corun
+module Cluster = Axmemo_cluster.Cluster
 
 let check = Alcotest.check
 
@@ -189,7 +190,7 @@ let corun_cfg =
   }
 
 let test_corun_profile_attribution () =
-  let o = Corun.run ~profile:true corun_cfg in
+  let o = Cluster.run ~profile:true (Cluster.of_node corun_cfg) in
   let profiles =
     match o.profiles with
     | Some ps -> Array.to_list ps
@@ -197,10 +198,10 @@ let test_corun_profile_attribution () =
   in
   let merged = Profile.merge profiles in
   (* Arbitration stalls are fully attributed back to regions. *)
-  check Alcotest.int "contention attributed" o.contention_cycles
+  check Alcotest.int "contention attributed" o.per_node.(0).contention_cycles
     (sum (fun (rs : Profile.region_snap) -> rs.contention_cycles) merged.regions);
   (* Attribution again partitions each core's executed cycles. *)
-  let busy = Array.fold_left (fun acc (c : Corun.core_summary) -> acc + c.busy_cycles) 0 o.cores in
+  let busy = Array.fold_left (fun acc (c : Cluster.core_summary) -> acc + c.busy_cycles) 0 o.cores in
   check Alcotest.int "busy cycles attributed" busy merged.total_cycles;
   List.iter
     (fun (rs : Profile.region_snap) ->
@@ -209,20 +210,21 @@ let test_corun_profile_attribution () =
     merged.regions;
   (* The profiled co-run reproduces the unprofiled one bit for bit (wall
      time excepted: it is outside the bit-identity contract). *)
-  let plain = Corun.run corun_cfg in
+  let plain = Cluster.run (Cluster.of_node corun_cfg) in
   let norm =
-    List.map (fun (r : Corun.request_run) ->
+    List.map (fun (r : Cluster.request_run) ->
         { r with result = { r.result with Runner.sim_wall_seconds = 0.0 } })
   in
   Alcotest.(check bool) "scheduling unchanged" true
     (norm plain.requests = norm o.requests
     && plain.makespan_cycles = o.makespan_cycles
-    && plain.contention_cycles = o.contention_cycles)
+    && plain.per_node.(0).contention_cycles = o.per_node.(0).contention_cycles)
 
 let test_corun_profile_report_serial_parallel_identical () =
   let report jobs =
     Json.to_string ~indent:2
-      (Corun.report (Corun.run_matrix ~jobs ~profile:true [ corun_cfg ]))
+      (Cluster.corun_report
+         (Cluster.run_matrix ~jobs ~profile:true [ Cluster.of_node corun_cfg ]))
   in
   check Alcotest.string "byte-identical corun report" (report 1) (report 4)
 

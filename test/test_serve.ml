@@ -3,13 +3,14 @@
    degenerate equivalence with Schedule.dispatch, histogram-interpolated
    percentiles against the raw-array percentile, serve report byte-identity
    across --jobs, shed-rate monotonicity in offered load, bit-identity of
-   the Closed serve against Corun.run, SLO accounting, the balanced request
+   the Closed serve against the 1-node Cluster.run, SLO accounting, the balanced request
    timeline, and the diff gate over the "service" report section. *)
 
 module Arrival = Axmemo_serve.Arrival
 module Serve = Axmemo_serve.Serve
 module Schedule = Axmemo_multicore.Schedule
 module Corun = Axmemo_multicore.Corun
+module Cluster = Axmemo_cluster.Cluster
 module Registry = Axmemo_telemetry.Registry
 module Tracer = Axmemo_telemetry.Tracer
 module Stats = Axmemo_util.Stats
@@ -341,20 +342,20 @@ let norm (r : Runner.result) = { r with Runner.sim_wall_seconds = 0.0 }
 
 let test_closed_serve_equals_corun () =
   let o = Lazy.force closed_outcome in
-  let c = Corun.run closed_cfg.Serve.cluster in
+  let c = Cluster.run (Cluster.of_node closed_cfg.Serve.cluster) in
   Alcotest.(check int) "served all" 12 o.Serve.served;
-  Alcotest.(check int) "same count" (List.length c.Corun.requests) o.Serve.served;
+  Alcotest.(check int) "same count" (List.length c.Cluster.requests) o.Serve.served;
   List.iter2
-    (fun (s : Serve.request_record) (r : Corun.request_run) ->
-      Alcotest.(check int) "rid" r.Corun.rid s.Serve.rid;
-      Alcotest.(check string) "workload" r.Corun.workload s.Serve.workload;
-      Alcotest.(check int) "core" r.Corun.core s.Serve.core;
-      Alcotest.(check int) "start" r.Corun.start s.Serve.start;
-      Alcotest.(check int) "finish" r.Corun.finish s.Serve.finish;
+    (fun (s : Serve.request_record) (r : Cluster.request_run) ->
+      Alcotest.(check int) "rid" r.Cluster.rid s.Serve.rid;
+      Alcotest.(check string) "workload" r.Cluster.workload s.Serve.workload;
+      Alcotest.(check int) "core" r.Cluster.gcore s.Serve.core;
+      Alcotest.(check int) "start" r.Cluster.start s.Serve.start;
+      Alcotest.(check int) "finish" r.Cluster.finish s.Serve.finish;
       Alcotest.(check bool) "result bits" true
-        (norm r.Corun.result = norm s.Serve.result))
-    o.Serve.requests c.Corun.requests;
-  Alcotest.(check int) "makespan" c.Corun.makespan_cycles o.Serve.makespan_cycles
+        (norm r.Cluster.result = norm s.Serve.result))
+    o.Serve.requests c.Cluster.requests;
+  Alcotest.(check int) "makespan" c.Cluster.makespan_cycles o.Serve.makespan_cycles
 
 let test_serve_jobs_byte_identical () =
   let cfgs = [ base ~load:0.8 (); base ~load:3.0 ~shed:Schedule.Drop_head () ] in

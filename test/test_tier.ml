@@ -11,6 +11,7 @@ module Lut = Axmemo_memo.Lut
 module Fault_model = Axmemo_faults.Fault_model
 module Injector = Axmemo_faults.Injector
 module Corun = Axmemo_multicore.Corun
+module Cluster = Axmemo_cluster.Cluster
 module Serve = Axmemo_serve.Serve
 module Arrival = Axmemo_serve.Arrival
 module Json = Axmemo_util.Json
@@ -582,37 +583,38 @@ let l3_cfg =
     l3 = Some { Dram.default with size_bytes = 256 * 1024; row_bytes = 1024 };
   }
 
-let l3_outcome = lazy (Corun.run_keep l3_cfg)
+(* The closed-stream warm-up, and its node's unprefixed capture. *)
+let l3_outcome = lazy (Cluster.run_keep (Cluster.of_node l3_cfg))
+let node0 t = Cluster.node_cluster t ~node:0
 
 let test_cluster_l3_summary () =
   let o, _ = Lazy.force l3_outcome in
-  match o.Corun.l3 with
+  match o.Cluster.per_node.(0).Cluster.l3 with
   | None -> Alcotest.fail "l3 summary missing"
-  | Some s ->
-      Alcotest.(check bool) "spills reached the tier" true (s.Corun.l3_spills > 0);
-      Alcotest.(check bool) "tier was probed" true (s.Corun.l3_probes > 0);
-      Alcotest.(check int) "probes split into hits+misses" s.Corun.l3_probes
-        (s.Corun.l3_tier_hits + s.Corun.l3_misses);
+  | Some { Cluster.tier = s; occupancy; capacity } ->
+      Alcotest.(check bool) "spills reached the tier" true (s.Dram.inserts > 0);
+      Alcotest.(check bool) "tier was probed" true (s.Dram.probes > 0);
+      Alcotest.(check int) "probes split into hits+misses" s.Dram.probes
+        (s.Dram.hits + s.Dram.misses);
       (* Inserts are charged as row traffic too, so row touches can only
          exceed probes. *)
       Alcotest.(check bool) "every probe touched a row" true
-        (s.Corun.l3_row_hits + s.Corun.l3_row_activations >= s.Corun.l3_probes);
-      Alcotest.(check bool) "occupancy within capacity" true
-        (s.Corun.l3_occupancy <= s.Corun.l3_capacity);
+        (s.Dram.row_hits + s.Dram.row_activations >= s.Dram.probes);
+      Alcotest.(check bool) "occupancy within capacity" true (occupancy <= capacity);
       Alcotest.(check bool) "label advertises the tier" true
         (contains (Corun.label l3_cfg) "l3=256KB")
 
 let test_cluster_capture_restore () =
-  let _, cluster = Lazy.force l3_outcome in
-  let snap = Corun.capture_snapshot cluster in
+  let _, t = Lazy.force l3_outcome in
+  let snap = Corun.capture_snapshot (node0 t) in
   let names = List.map (fun (s : Snapshot.section) -> s.Snapshot.name)
       snap.Snapshot.sections in
   Alcotest.(check (list string)) "sections per level"
     [ "l1.0"; "l1.1"; "l2"; "l3" ] names;
   Alcotest.(check bool) "captured something" true (Snapshot.total_entries snap > 0);
   (* Restoring into a fresh cluster replays every captured entry. *)
-  let fresh = snd (Corun.run_keep { l3_cfg with requests = 0 }) in
-  let restored = Corun.restore_snapshot fresh snap in
+  let fresh = Corun.create_cluster l3_cfg in
+  let restored, _, _ = Corun.restore_snapshot_stats fresh snap in
   Alcotest.(check int) "every entry restored" (Snapshot.total_entries snap) restored;
   (* And a re-capture of the restored cluster is byte-identical. *)
   Alcotest.(check string) "restored cluster re-captures identically"
@@ -623,12 +625,12 @@ let test_l3_absent_unchanged () =
   (* The tier is strictly opt-in: without it the label, the outcome record
      and the report JSON must not mention it at all. *)
   let cfg = { l3_cfg with l3 = None } in
-  let o = Corun.run cfg in
-  Alcotest.(check bool) "no l3 summary" true (o.Corun.l3 = None);
+  let o = Cluster.run (Cluster.of_node cfg) in
+  Alcotest.(check bool) "no l3 summary" true (o.Cluster.per_node.(0).Cluster.l3 = None);
   let has_l3 s = contains s "\"l3\"" in
   Alcotest.(check bool) "label silent" false (contains (Corun.label cfg) "l3");
   Alcotest.(check bool) "report json silent" false
-    (has_l3 (Json.to_string (Corun.report [ o ])))
+    (has_l3 (Json.to_string (Cluster.corun_report [ o ])))
 
 (* --- serve warm start --------------------------------------------------- *)
 
@@ -652,9 +654,9 @@ let serve_cfg warm_start =
 let test_warm_start_beats_cold () =
   (* Warm a closed cluster, snapshot it, and compare a cold serve run with
      its warm twin: same arrivals, better first-window hit rate. *)
-  let _, warmed = Corun.run_keep (serve_cfg None).Serve.cluster in
+  let _, warmed = Cluster.run_keep (Cluster.of_node (serve_cfg None).Serve.cluster) in
   let file = Filename.temp_file "axmemo_test" ".axs" in
-  Snapshot.save (Corun.capture_snapshot warmed) file;
+  Snapshot.save (Corun.capture_snapshot (node0 warmed)) file;
   let cold = Serve.run (serve_cfg None) in
   let warm = Serve.run (serve_cfg (Some file)) in
   Sys.remove file;
