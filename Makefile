@@ -1,9 +1,9 @@
 # Developer entry points. `make check` is the one-stop gate: full build,
 # test suite, the perf smoke, bounded fault-injection, multi-core co-run
 # (smoke and Eval matrix), open-loop serve, tiered-storage warm-restart,
-# sharded-cluster and live-timeline/alerting smokes (all under timeouts so a
-# hung pool cannot wedge CI), and the diff gate comparing each smoke report
-# against its committed baseline snapshot.
+# sharded-cluster, live-timeline/alerting and attribution-profile smokes (all
+# under timeouts so a hung pool cannot wedge CI), and the diff gate comparing
+# each smoke report against its committed baseline snapshot.
 
 SMOKE_TIMEOUT ?= 900
 JOBS ?= 4
@@ -14,7 +14,7 @@ JOBS ?= 4
 STAGE_START = t0=$$(date +%s);
 STAGE_END = ; rc=$$?; echo "stage $@ $$(($$(date +%s) - t0))"; exit $$rc
 
-.PHONY: all build test smoke faults-smoke corun-smoke bench-corun serve-smoke bench-serve tier-smoke cluster-smoke watch-smoke diff-gate check clean
+.PHONY: all build test smoke faults-smoke corun-smoke bench-corun serve-smoke bench-serve tier-smoke cluster-smoke watch-smoke profile-smoke diff-gate check clean
 
 all: build
 
@@ -98,6 +98,16 @@ cluster-smoke: build
 watch-smoke: build
 	$(STAGE_START) timeout $(SMOKE_TIMEOUT) dune exec bench/main.exe -- watch --jobs $(JOBS) $(STAGE_END)
 
+# Attribution-profile smoke: a profiled two-core co-run of the
+# blackscholes+sobel mix. Every region's class cycles and counts land in
+# the report's "profile" sections, which carry no wall-clock fields, so the
+# gate is exact and pins the timing model's per-class charges and region
+# attribution end to end.
+profile-smoke: build
+	$(STAGE_START) timeout $(SMOKE_TIMEOUT) dune exec bin/axmemo_cli.exe -- corun \
+	  -b blackscholes,sobel --sample --seed 1234 --cores 2 --requests 8 --profile \
+	  --jobs $(JOBS) --quiet --metrics PROFILE_SMOKE.json $(STAGE_END)
+
 # Regression gate: every metric in the fresh smoke reports must match the
 # committed baseline exactly (the simulator is deterministic), with one
 # exception: summary.sim_wall_seconds is host wall clock, so it carries a
@@ -106,8 +116,8 @@ watch-smoke: build
 # legitimate perf or model change updates the snapshot in the same PR:
 #   cp BENCH_PR1.json FAULTS_SMOKE.json CORUN_SMOKE.json BENCH_CORUN.json \
 #      SERVE_SMOKE.json BENCH_SERVE.json TIER_SMOKE.json CLUSTER_SMOKE.json \
-#      WATCH_SMOKE.json bench/baselines/
-diff-gate: smoke faults-smoke corun-smoke bench-corun serve-smoke bench-serve tier-smoke cluster-smoke watch-smoke
+#      WATCH_SMOKE.json PROFILE_SMOKE.json bench/baselines/
+diff-gate: smoke faults-smoke corun-smoke bench-corun serve-smoke bench-serve tier-smoke cluster-smoke watch-smoke profile-smoke
 	dune exec bin/axmemo_cli.exe -- diff bench/baselines/BENCH_PR1.json BENCH_PR1.json \
 	  --tol "summary.sim_wall_seconds=3:0.5" --gate --quiet
 	dune exec bin/axmemo_cli.exe -- diff bench/baselines/FAULTS_SMOKE.json FAULTS_SMOKE.json --gate --quiet
@@ -119,6 +129,7 @@ diff-gate: smoke faults-smoke corun-smoke bench-corun serve-smoke bench-serve ti
 	dune exec bin/axmemo_cli.exe -- diff bench/baselines/TIER_SMOKE.json TIER_SMOKE.json --gate --quiet
 	dune exec bin/axmemo_cli.exe -- diff bench/baselines/CLUSTER_SMOKE.json CLUSTER_SMOKE.json --gate --quiet
 	dune exec bin/axmemo_cli.exe -- diff bench/baselines/WATCH_SMOKE.json WATCH_SMOKE.json --gate --quiet
+	dune exec bin/axmemo_cli.exe -- diff bench/baselines/PROFILE_SMOKE.json PROFILE_SMOKE.json --gate --quiet
 
 check: build test diff-gate
 
