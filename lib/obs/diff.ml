@@ -141,6 +141,27 @@ let flatten_run run =
   (match Json.member "alerts" run with
   | Some (Json.Obj kvs) -> List.iter (emit_tree "alerts.") kvs
   | _ -> ());
+  (* The attribution profile keys each region by name and LUT id
+     (profile.<region>@<lut>.class_cycles.fp), so a cycle moved between
+     regions or classes is a gated regression. *)
+  (match Json.member "profile" run with
+  | Some p ->
+      Option.iter (fun v -> emit_json "profile." ("total_cycles", v))
+        (Json.member "total_cycles" p);
+      (match Json.member "regions" p with
+      | Some (Json.Arr rs) ->
+          List.iter
+            (fun r ->
+              match (Json.member "region" r, Json.member "lut" r, r) with
+              | Some (Json.Str name), Some (Json.Int lut), Json.Obj kvs ->
+                  let prefix = Printf.sprintf "profile.%s@%d." name lut in
+                  List.iter
+                    (fun (k, v) -> if k <> "region" && k <> "lut" then emit_tree prefix (k, v))
+                    kvs
+              | _ -> ())
+            rs
+      | _ -> ())
+  | None -> ());
   (match Json.member "metrics" run with
   | Some metrics ->
       (match Json.member "counters" metrics with

@@ -141,6 +141,10 @@ let of_bytes s =
             let nlen = u16 () in
             let name = str nlen in
             let nent = u32 () in
+            (* the count is untrusted (the CRC is no authentication): refuse
+               one the bytes left before the trailer cannot hold, before
+               allocating for it *)
+            if nent > (String.length s - 4 - !pos) / 20 then raise Truncated;
             let entries =
               Array.init nent (fun _ ->
                   let lut_id = u32 () in

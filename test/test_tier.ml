@@ -551,6 +551,28 @@ let test_snapshot_rejection () =
      checksum is what catches them. *)
   reject "trailing garbage" (good ^ "junk") "checksum";
   reject "empty file" "" "truncated";
+  (* A forged entry count under a valid checksum: one 20-byte entry on
+     disk, 20M claimed. Rejected before anything is allocated for it. *)
+  let forged =
+    let one =
+      Snapshot.to_bytes
+        {
+          Snapshot.sections =
+            [ { Snapshot.name = "l1"; entries = [| { lut_id = 0; key = 1L; payload = 2L } |] } ];
+        }
+    in
+    Alcotest.(check int) "forged file size" 48 (String.length one);
+    let b = Bytes.of_string (String.sub one 0 44) in
+    Bytes.set_int32_le b 20 20_000_000l;
+    let crc = Axmemo_crc.Engine.digest_string Axmemo_crc.Poly.crc32 (Bytes.to_string b) in
+    let trailer = Bytes.create 4 in
+    Bytes.set_int32_le trailer 0 (Int64.to_int32 crc);
+    Bytes.to_string b ^ Bytes.to_string trailer
+  in
+  let before = Gc.allocated_bytes () in
+  reject "forged entry count" forged "truncated";
+  Alcotest.(check bool) "forged count allocates < 1 MB" true
+    (Gc.allocated_bytes () -. before < 1e6);
   (* A missing file is a clean one-line error, not an exception. *)
   match Snapshot.load "/nonexistent/axmemo.axs" with
   | Ok _ -> Alcotest.fail "missing file accepted"

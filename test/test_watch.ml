@@ -19,6 +19,10 @@ module Fault_model = Axmemo_faults.Fault_model
 module Stats = Axmemo_util.Stats
 module Json = Axmemo_util.Json
 module Diff = Axmemo_obs.Diff
+module Profile = Axmemo_obs.Profile
+module Report = Axmemo_telemetry.Report
+module Registry = Axmemo_telemetry.Registry
+module Runner = Axmemo.Runner
 module W = Axmemo_workloads
 
 let contains s sub =
@@ -292,6 +296,37 @@ let test_timeline_and_alert_sections_gated () =
   check_perturbation_gated report ~leaf:"first_fire_window"
     ~value:(Json.Int 99) ~prefix:"alerts."
 
+(* A profiled run's attribution section is gated too: moving cycles into
+   one class column or changing the total is a violation. *)
+let test_profile_section_gated () =
+  let _, make = Option.get (W.Registry.find "sobel") in
+  let inst = make W.Workload.Sample in
+  let p = Profile.create ~regions:(Runner.profile_regions inst) in
+  let r = Runner.run ~profile:p Runner.l1_8k inst in
+  let report =
+    Report.make
+      [
+        {
+          Report.benchmark = "sobel";
+          config = r.Runner.label;
+          summary = [ ("cycles", Json.Int r.Runner.cycles) ];
+          metrics = Registry.snapshot (Registry.create ());
+          profile = Some (Profile.to_json (Profile.snapshot p));
+          service = None;
+          cluster = None;
+          timeline = None;
+          alerts = None;
+        };
+      ]
+  in
+  (match Diff.diff report report with
+  | Ok d -> Alcotest.(check bool) "self-diff gates ok" true (Diff.gate_ok d)
+  | Error e -> Alcotest.fail e);
+  check_perturbation_gated report ~leaf:"total_cycles" ~value:(Json.Int 123456)
+    ~prefix:"profile.";
+  check_perturbation_gated report ~leaf:"fp" ~value:(Json.Int 5000)
+    ~prefix:"profile.sobel_kernel@"
+
 (* --- percentile edge contract (satellite fix) ----------------------------- *)
 
 let test_percentile_edges () =
@@ -454,6 +489,8 @@ let () =
             test_watchless_run_inert;
           Alcotest.test_case "sections gated" `Quick
             test_timeline_and_alert_sections_gated;
+          Alcotest.test_case "profile section gated" `Quick
+            test_profile_section_gated;
           Alcotest.test_case "l3 decay reaches timeline" `Quick
             test_l3_decay_reaches_timeline;
         ] );
