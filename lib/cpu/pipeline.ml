@@ -219,24 +219,6 @@ let create ?metrics ?profile:prof ?(machine = Machine.hpi) ?lookup_level
     profile = prof;
   }
 
-(* Attribute [cyc] occupancy cycles to [cls]. Only meaningful with telemetry
-   attached; without it the site costs one pattern match. *)
-let attr t cls cyc =
-  match t.telem with
-  | Some tl ->
-      let i = class_index cls in
-      tl.class_cycles.(i) <- tl.class_cycles.(i) + cyc
-  | None -> ()
-
-let count t cls =
-  t.counts.(class_index cls) <- t.counts.(class_index cls) + 1;
-  match cls with
-  | C_memo_send | C_memo_lookup | C_memo_update | C_memo_invalidate | C_memo_branch ->
-      t.dyn_memo <- t.dyn_memo + 1
-  | C_ialu | C_imul | C_idiv | C_fp | C_fdiv_sqrt | C_ftrig | C_load | C_store
-  | C_branch | C_call_ret ->
-      t.dyn_normal <- t.dyn_normal + 1
-
 (* Issue one instruction no earlier than [ready]; returns the issue cycle,
    respecting in-order dual-issue. *)
 let[@inline] issue t ready =
@@ -269,28 +251,6 @@ let current_frame t =
   | f :: _ -> f
   | [] -> failwith "Pipeline: event outside any frame"
 
-let op_ready frame = function Ir.Reg r -> frame.ready.(r) | Ir.Imm _ -> 0
-
-let srcs_ready t instr =
-  let frame = current_frame t in
-  List.fold_left (fun acc r -> max acc frame.ready.(r)) 0 (Ir.instr_srcs instr)
-
-let complete t frame dsts at =
-  List.iter (fun r -> frame.ready.(r) <- at) dsts;
-  if at > t.horizon then t.horizon <- at
-
-(* Issue through a functional-unit pool. [busy] is the occupancy (1 for
-   pipelined units, [latency] for non-pipelined ones). *)
-let exec_fu t instr pool ~latency ~busy cls =
-  let frame = current_frame t in
-  let ready = srcs_ready t instr in
-  let u = pool_min pool in
-  let c = issue t (max ready pool.(u)) in
-  pool.(u) <- c + busy;
-  complete t frame (Ir.instr_dst instr) (c + latency);
-  count t cls;
-  attr t cls latency
-
 (* Sends to the CRC unit: the queue drains one byte per cycle; the core
    stalls only when the queue is full (Table 4). [avail] is when the bytes
    become available to the queue relative to the issue cycle. *)
@@ -304,176 +264,6 @@ let crc_queue_constraint t ~bytes =
   t.crc_done + bytes - Timing.input_queue_bytes
 
 let m t = t.machine
-
-let rec exec_instr t (instr : Ir.instr) addr =
-  match instr with
-  | Const _ | Mov _ | Select _ -> exec_fu t instr t.alu ~latency:(m t).lat_alu ~busy:1 C_ialu
-  | Binop { op; _ } -> (
-      match op with
-      | Mul -> exec_fu t instr t.mul ~latency:(m t).lat_mul ~busy:1 C_imul
-      | Div | Rem ->
-          exec_fu t instr t.div ~latency:(m t).lat_div ~busy:(m t).lat_div C_idiv
-      | Add | Sub | And | Or | Xor | Shl | Lshr | Ashr ->
-          exec_fu t instr t.alu ~latency:(m t).lat_alu ~busy:1 C_ialu)
-  | Fbinop { op; _ } -> (
-      match op with
-      | Fdiv -> exec_fu t instr t.fpu ~latency:(m t).lat_fdiv ~busy:(m t).lat_fdiv C_fdiv_sqrt
-      | Fadd | Fsub | Fmul -> exec_fu t instr t.fpu ~latency:(m t).lat_fp ~busy:1 C_fp)
-  | Funop { op; _ } -> (
-      match op with
-      | Fsqrt ->
-          exec_fu t instr t.fpu ~latency:(m t).lat_fsqrt ~busy:(m t).lat_fsqrt C_fdiv_sqrt
-      | Fsin | Fcos | Fexp | Flog ->
-          exec_fu t instr t.fpu ~latency:(m t).lat_ftrig ~busy:(m t).lat_ftrig C_ftrig
-      | Fneg | Fabs | Ffloor | Fround ->
-          exec_fu t instr t.fpu ~latency:(m t).lat_fp ~busy:1 C_fp)
-  | Icmp _ -> exec_fu t instr t.alu ~latency:(m t).lat_alu ~busy:1 C_ialu
-  | Fcmp _ -> exec_fu t instr t.fpu ~latency:(m t).lat_fp ~busy:1 C_fp
-  | Cast { op; _ } -> (
-      match op with
-      | I_to_f | F_to_i | F32_of_f64 | F64_of_f32 ->
-          exec_fu t instr t.fpu ~latency:(m t).lat_fp ~busy:1 C_fp
-      | Bits_of_f32 | F32_of_bits | Bits_of_f64 | F64_of_bits | Sext_32_64 | Trunc_64_32
-        ->
-          exec_fu t instr t.alu ~latency:(m t).lat_alu ~busy:1 C_ialu)
-  | Load _ ->
-      let frame = current_frame t in
-      let ready = srcs_ready t instr in
-      let u = pool_min t.lsu in
-      let c = issue t (max ready t.lsu.(u)) in
-      t.lsu.(u) <- c + 1;
-      let latency = Hierarchy.read t.hier ~addr in
-      complete t frame (Ir.instr_dst instr) (c + latency);
-      count t C_load;
-      attr t C_load latency
-  | Store _ ->
-      let ready = srcs_ready t instr in
-      let u = pool_min t.lsu in
-      let c = issue t (max ready t.lsu.(u)) in
-      let latency = Hierarchy.write t.hier ~addr in
-      t.lsu.(u) <- c + latency;
-      if c + latency > t.horizon then t.horizon <- c + latency;
-      count t C_store;
-      attr t C_store latency
-  | Call { args; dsts; _ } ->
-      (* The bl instruction: a branch-class issue slot. *)
-      let frame = current_frame t in
-      let ready =
-        Array.fold_left
-          (fun acc a -> max acc (op_ready frame a))
-          0 args
-      in
-      let c = issue t ready in
-      t.pending_args_ready <- max ready c;
-      t.pending_call <- Some (Array.copy dsts, frame.ready);
-      count t C_call_ret;
-      attr t C_call_ret 1
-  | Memo mi -> exec_memo t mi addr
-
-and exec_memo t (mi : Ir.memo_instr) addr =
-  match mi with
-  | Ld_crc { ty; _ } ->
-      let instr = Ir.Memo mi in
-      let frame = current_frame t in
-      let bytes = Ir.ty_size ty in
-      let ready = srcs_ready t instr in
-      let u = pool_min t.lsu in
-      let queue_ok = crc_queue_constraint t ~bytes in
-      let unconstrained = max ready t.lsu.(u) in
-      let c = issue t (max unconstrained queue_ok) in
-      if queue_ok > unconstrained then begin
-        let stall = queue_ok - unconstrained in
-        t.crc_stalls <- t.crc_stalls + stall;
-        match t.telem with
-        | Some tl -> Registry.sample tl.crc_stall_s ~at:c (float_of_int stall)
-        | None -> ()
-      end;
-      t.lsu.(u) <- c + 1;
-      let latency = Hierarchy.read t.hier ~addr in
-      complete t frame (Ir.instr_dst instr) (c + latency);
-      crc_send t ~issue_cycle:c ~bytes ~avail_delay:latency;
-      count t C_load;
-      attr t C_load latency
-  | Reg_crc { ty; _ } ->
-      let instr = Ir.Memo mi in
-      let bytes = Ir.ty_size ty in
-      let ready = srcs_ready t instr in
-      let queue_ok = crc_queue_constraint t ~bytes in
-      let c = issue t (max ready queue_ok) in
-      if queue_ok > ready then begin
-        let stall = max 0 (queue_ok - ready) in
-        t.crc_stalls <- t.crc_stalls + stall;
-        match t.telem with
-        | Some tl -> Registry.sample tl.crc_stall_s ~at:c (float_of_int stall)
-        | None -> ()
-      end;
-      crc_send t ~issue_cycle:c ~bytes ~avail_delay:1;
-      count t C_memo_send;
-      attr t C_memo_send 1
-  | Lookup _ ->
-      let instr = Ir.Memo mi in
-      let frame = current_frame t in
-      let ready = max (srcs_ready t instr) (max t.crc_done t.memo_port_free) in
-      let c = issue t ready in
-      let latency =
-        match t.lookup_level () with
-        | `L1 -> Timing.lookup_l1_cycles
-        | `L2 -> Timing.lookup_l1_cycles + Timing.lookup_l2_cycles
-        | `L3 ->
-            Timing.lookup_l1_cycles + Timing.lookup_l2_cycles
-            + t.l3_lookup_cycles ()
-        | `Miss ->
-            (if t.l2_lut_present then Timing.lookup_l1_cycles + Timing.lookup_l2_cycles
-             else Timing.lookup_l1_cycles)
-            + t.l3_lookup_cycles ()
-      in
-      t.memo_port_free <- c + latency;
-      complete t frame (Ir.instr_dst instr) (c + latency);
-      count t C_memo_lookup;
-      attr t C_memo_lookup latency
-  | Update _ ->
-      let instr = Ir.Memo mi in
-      let ready = max (srcs_ready t instr) t.memo_port_free in
-      let c = issue t ready in
-      t.memo_port_free <- c + Timing.update_cycles;
-      if c + Timing.update_cycles > t.horizon then t.horizon <- c + Timing.update_cycles;
-      count t C_memo_update;
-      attr t C_memo_update Timing.update_cycles
-  | Invalidate _ ->
-      let c = issue t t.memo_port_free in
-      let penalty = t.l1_lut_ways * Timing.invalidate_cycles_per_way in
-      t.memo_port_free <- c + penalty;
-      t.slot_cycle <- c + penalty;
-      t.slot_used <- 0;
-      count t C_memo_invalidate;
-      attr t C_memo_invalidate penalty
-
-let exec_term t (term : Ir.terminator) =
-  match term with
-  | Jmp _ ->
-      let _c = issue t t.slot_cycle in
-      count t C_branch;
-      attr t C_branch 1
-  | Br { cond; _ } ->
-      let frame = current_frame t in
-      let c = issue t (op_ready frame cond) in
-      ignore c;
-      count t C_branch;
-      attr t C_branch 1
-  | Br_memo _ ->
-      (* Consumes the lookup's condition code; readiness is already folded
-         into [memo_port_free]. *)
-      let c = issue t t.memo_port_free in
-      ignore c;
-      count t C_memo_branch;
-      attr t C_memo_branch 1
-  | Ret ops ->
-      let frame = current_frame t in
-      let ready = Array.fold_left (fun acc o -> max acc (op_ready frame o)) 0 ops in
-      let c = issue t ready in
-      t.last_ret_ready <- max ready c;
-      count t C_call_ret;
-      attr t C_call_ret 1
 
 let on_enter t fname =
   let nregs = try Hashtbl.find t.nregs_of fname with Not_found -> 64 in
@@ -495,12 +285,13 @@ let on_leave t _fname =
 let cycles t = max t.slot_cycle t.horizon
 
 (* ------------------------------------------------------------------ *)
-(* Site compilers for the compiled execution backend: everything static
-   about an instruction — source/destination register sets, class index,
-   functional-unit pool, latency, occupancy — is resolved once per static
-   site, so the per-execution closure touches no lists and matches no
-   constructors. Each closure must stay observationally identical to the
-   corresponding [exec_instr]/[exec_term] arm. *)
+(* Site compilers: the one statement of each instruction's timing rule.
+   Everything static about an instruction — its class, source/destination
+   register sets, functional-unit pool, latency, occupancy — is resolved
+   once per static site, so the per-execution closure touches no lists and
+   matches no constructors. Each compiler returns the class it charges
+   alongside the closure, so the profiler labels work without a second
+   classification. *)
 
 let is_memo_class = function
   | C_memo_send | C_memo_lookup | C_memo_update | C_memo_invalidate | C_memo_branch ->
@@ -518,8 +309,7 @@ let[@inline] attr_k t k cyc =
   | Some tl -> tl.class_cycles.(k) <- tl.class_cycles.(k) + cyc
   | None -> ()
 
-(* max-fold over a precomputed register array — the compiled twin of
-   [srcs_ready]'s list fold *)
+(* max-fold over a precomputed register array *)
 let[@inline] ready_of (frame : frame) (rs : int array) =
   let r = ref 0 in
   for i = 0 to Array.length rs - 1 do
@@ -543,6 +333,8 @@ let reg_operands ops =
        (function Ir.Reg r -> Some r | Ir.Imm _ -> None)
        (Array.to_list ops))
 
+(* Issue through a functional-unit pool. [busy] is the occupancy (1 for
+   pipelined units, [latency] for non-pipelined ones). *)
 let site_fu t instr pool ~latency ~busy cls =
   let srcs = srcs_arr instr in
   let dsts = dsts_arr instr in
@@ -550,8 +342,8 @@ let site_fu t instr pool ~latency ~busy cls =
   let memo = is_memo_class cls in
   (* Telemetry attachment is fixed at pipeline creation, so sites compiled
      without it drop the attribution branch from the per-execution path. *)
-  if t.telem = None then
-    fun (_addr : int) ->
+  ( cls,
+    if t.telem = None then fun (_addr : int) ->
       let frame = current_frame t in
       let ready = ready_of frame srcs in
       let u = pool_min pool in
@@ -559,8 +351,7 @@ let site_fu t instr pool ~latency ~busy cls =
       pool.(u) <- c + busy;
       complete_arr t frame dsts (c + latency);
       count_k t k memo
-  else
-    fun (_addr : int) ->
+    else fun (_addr : int) ->
       let frame = current_frame t in
       let ready = ready_of frame srcs in
       let u = pool_min pool in
@@ -568,10 +359,9 @@ let site_fu t instr pool ~latency ~busy cls =
       pool.(u) <- c + busy;
       complete_arr t frame dsts (c + latency);
       count_k t k memo;
-      attr_k t k latency
+      attr_k t k latency )
 
-let exec_site t (_fname : string) (_bidx : int) (_iidx : int) (instr : Ir.instr) :
-    int -> unit =
+let exec_site t (instr : Ir.instr) : instr_class * (int -> unit) =
   match instr with
   | Const _ | Mov _ | Select _ ->
       site_fu t instr t.alu ~latency:(m t).lat_alu ~busy:1 C_ialu
@@ -610,211 +400,189 @@ let exec_site t (_fname : string) (_bidx : int) (_iidx : int) (instr : Ir.instr)
       let srcs = srcs_arr instr in
       let dsts = dsts_arr instr in
       let k = class_index C_load in
-      fun addr ->
-        let frame = current_frame t in
-        let ready = ready_of frame srcs in
-        let u = pool_min t.lsu in
-        let c = issue t (max ready t.lsu.(u)) in
-        t.lsu.(u) <- c + 1;
-        let latency = Hierarchy.read t.hier ~addr in
-        complete_arr t frame dsts (c + latency);
-        count_k t k false;
-        attr_k t k latency
+      ( C_load,
+        fun addr ->
+          let frame = current_frame t in
+          let ready = ready_of frame srcs in
+          let u = pool_min t.lsu in
+          let c = issue t (max ready t.lsu.(u)) in
+          t.lsu.(u) <- c + 1;
+          let latency = Hierarchy.read t.hier ~addr in
+          complete_arr t frame dsts (c + latency);
+          count_k t k false;
+          attr_k t k latency )
   | Store _ ->
       let srcs = srcs_arr instr in
       let k = class_index C_store in
-      fun addr ->
-        let frame = current_frame t in
-        let ready = ready_of frame srcs in
-        let u = pool_min t.lsu in
-        let c = issue t (max ready t.lsu.(u)) in
-        let latency = Hierarchy.write t.hier ~addr in
-        t.lsu.(u) <- c + latency;
-        if c + latency > t.horizon then t.horizon <- c + latency;
-        count_k t k false;
-        attr_k t k latency
+      ( C_store,
+        fun addr ->
+          let frame = current_frame t in
+          let ready = ready_of frame srcs in
+          let u = pool_min t.lsu in
+          let c = issue t (max ready t.lsu.(u)) in
+          let latency = Hierarchy.write t.hier ~addr in
+          t.lsu.(u) <- c + latency;
+          if c + latency > t.horizon then t.horizon <- c + latency;
+          count_k t k false;
+          attr_k t k latency )
   | Call { args; dsts; _ } ->
+      (* The bl instruction: a branch-class issue slot. *)
       let arg_regs = reg_operands args in
       let k = class_index C_call_ret in
-      fun _addr ->
-        let frame = current_frame t in
-        let ready = ready_of frame arg_regs in
-        let c = issue t ready in
-        t.pending_args_ready <- max ready c;
-        t.pending_call <- Some (Array.copy dsts, frame.ready);
-        count_k t k false;
-        attr_k t k 1
+      ( C_call_ret,
+        fun _addr ->
+          let frame = current_frame t in
+          let ready = ready_of frame arg_regs in
+          let c = issue t ready in
+          t.pending_args_ready <- max ready c;
+          t.pending_call <- Some (Array.copy dsts, frame.ready);
+          count_k t k false;
+          attr_k t k 1 )
   | Memo mi -> (
       match mi with
       | Ld_crc { ty; _ } ->
+          (* counted as a load, as in the paper's Figure 8 accounting *)
           let srcs = srcs_arr instr in
           let dsts = dsts_arr instr in
           let bytes = Ir.ty_size ty in
           let k = class_index C_load in
-          fun addr ->
-            let frame = current_frame t in
-            let ready = ready_of frame srcs in
-            let u = pool_min t.lsu in
-            let queue_ok = crc_queue_constraint t ~bytes in
-            let unconstrained = max ready t.lsu.(u) in
-            let c = issue t (max unconstrained queue_ok) in
-            if queue_ok > unconstrained then begin
-              let stall = queue_ok - unconstrained in
-              t.crc_stalls <- t.crc_stalls + stall;
-              match t.telem with
-              | Some tl -> Registry.sample tl.crc_stall_s ~at:c (float_of_int stall)
-              | None -> ()
-            end;
-            t.lsu.(u) <- c + 1;
-            let latency = Hierarchy.read t.hier ~addr in
-            complete_arr t frame dsts (c + latency);
-            crc_send t ~issue_cycle:c ~bytes ~avail_delay:latency;
-            count_k t k false;
-            attr_k t k latency
+          ( C_load,
+            fun addr ->
+              let frame = current_frame t in
+              let ready = ready_of frame srcs in
+              let u = pool_min t.lsu in
+              let queue_ok = crc_queue_constraint t ~bytes in
+              let unconstrained = max ready t.lsu.(u) in
+              let c = issue t (max unconstrained queue_ok) in
+              if queue_ok > unconstrained then begin
+                let stall = queue_ok - unconstrained in
+                t.crc_stalls <- t.crc_stalls + stall;
+                match t.telem with
+                | Some tl -> Registry.sample tl.crc_stall_s ~at:c (float_of_int stall)
+                | None -> ()
+              end;
+              t.lsu.(u) <- c + 1;
+              let latency = Hierarchy.read t.hier ~addr in
+              complete_arr t frame dsts (c + latency);
+              crc_send t ~issue_cycle:c ~bytes ~avail_delay:latency;
+              count_k t k false;
+              attr_k t k latency )
       | Reg_crc { ty; _ } ->
           let srcs = srcs_arr instr in
           let bytes = Ir.ty_size ty in
           let k = class_index C_memo_send in
-          fun _addr ->
-            let frame = current_frame t in
-            let ready = ready_of frame srcs in
-            let queue_ok = crc_queue_constraint t ~bytes in
-            let c = issue t (max ready queue_ok) in
-            if queue_ok > ready then begin
-              let stall = max 0 (queue_ok - ready) in
-              t.crc_stalls <- t.crc_stalls + stall;
-              match t.telem with
-              | Some tl -> Registry.sample tl.crc_stall_s ~at:c (float_of_int stall)
-              | None -> ()
-            end;
-            crc_send t ~issue_cycle:c ~bytes ~avail_delay:1;
-            count_k t k true;
-            attr_k t k 1
+          ( C_memo_send,
+            fun _addr ->
+              let frame = current_frame t in
+              let ready = ready_of frame srcs in
+              let queue_ok = crc_queue_constraint t ~bytes in
+              let c = issue t (max ready queue_ok) in
+              if queue_ok > ready then begin
+                let stall = max 0 (queue_ok - ready) in
+                t.crc_stalls <- t.crc_stalls + stall;
+                match t.telem with
+                | Some tl -> Registry.sample tl.crc_stall_s ~at:c (float_of_int stall)
+                | None -> ()
+              end;
+              crc_send t ~issue_cycle:c ~bytes ~avail_delay:1;
+              count_k t k true;
+              attr_k t k 1 )
       | Lookup _ ->
           let srcs = srcs_arr instr in
           let dsts = dsts_arr instr in
           let k = class_index C_memo_lookup in
-          fun _addr ->
-            let frame = current_frame t in
-            let ready = max (ready_of frame srcs) (max t.crc_done t.memo_port_free) in
-            let c = issue t ready in
-            let latency =
-              match t.lookup_level () with
-              | `L1 -> Timing.lookup_l1_cycles
-              | `L2 -> Timing.lookup_l1_cycles + Timing.lookup_l2_cycles
-              | `L3 ->
-                  Timing.lookup_l1_cycles + Timing.lookup_l2_cycles
-                  + t.l3_lookup_cycles ()
-              | `Miss ->
-                  (if t.l2_lut_present then
-                     Timing.lookup_l1_cycles + Timing.lookup_l2_cycles
-                   else Timing.lookup_l1_cycles)
-                  + t.l3_lookup_cycles ()
-            in
-            t.memo_port_free <- c + latency;
-            complete_arr t frame dsts (c + latency);
-            count_k t k true;
-            attr_k t k latency
+          ( C_memo_lookup,
+            fun _addr ->
+              let frame = current_frame t in
+              let ready = max (ready_of frame srcs) (max t.crc_done t.memo_port_free) in
+              let c = issue t ready in
+              let latency =
+                match t.lookup_level () with
+                | `L1 -> Timing.lookup_l1_cycles
+                | `L2 -> Timing.lookup_l1_cycles + Timing.lookup_l2_cycles
+                | `L3 ->
+                    Timing.lookup_l1_cycles + Timing.lookup_l2_cycles
+                    + t.l3_lookup_cycles ()
+                | `Miss ->
+                    (if t.l2_lut_present then
+                       Timing.lookup_l1_cycles + Timing.lookup_l2_cycles
+                     else Timing.lookup_l1_cycles)
+                    + t.l3_lookup_cycles ()
+              in
+              t.memo_port_free <- c + latency;
+              complete_arr t frame dsts (c + latency);
+              count_k t k true;
+              attr_k t k latency )
       | Update _ ->
           let srcs = srcs_arr instr in
           let k = class_index C_memo_update in
-          fun _addr ->
-            let frame = current_frame t in
-            let ready = max (ready_of frame srcs) t.memo_port_free in
-            let c = issue t ready in
-            t.memo_port_free <- c + Timing.update_cycles;
-            if c + Timing.update_cycles > t.horizon then
-              t.horizon <- c + Timing.update_cycles;
-            count_k t k true;
-            attr_k t k Timing.update_cycles
+          ( C_memo_update,
+            fun _addr ->
+              let frame = current_frame t in
+              let ready = max (ready_of frame srcs) t.memo_port_free in
+              let c = issue t ready in
+              t.memo_port_free <- c + Timing.update_cycles;
+              if c + Timing.update_cycles > t.horizon then
+                t.horizon <- c + Timing.update_cycles;
+              count_k t k true;
+              attr_k t k Timing.update_cycles )
       | Invalidate _ ->
           let k = class_index C_memo_invalidate in
           let penalty = t.l1_lut_ways * Timing.invalidate_cycles_per_way in
-          fun _addr ->
-            let c = issue t t.memo_port_free in
-            t.memo_port_free <- c + penalty;
-            t.slot_cycle <- c + penalty;
-            t.slot_used <- 0;
-            count_k t k true;
-            attr_k t k penalty)
+          ( C_memo_invalidate,
+            fun _addr ->
+              let c = issue t t.memo_port_free in
+              t.memo_port_free <- c + penalty;
+              t.slot_cycle <- c + penalty;
+              t.slot_used <- 0;
+              count_k t k true;
+              attr_k t k penalty ))
 
-let term_site t (_fname : string) (_bidx : int) (term : Ir.terminator) : unit -> unit
-    =
+let term_site t (term : Ir.terminator) : instr_class * (unit -> unit) =
   match term with
   | Jmp _ ->
       let k = class_index C_branch in
-      fun () ->
-        let _c = issue t t.slot_cycle in
-        count_k t k false;
-        attr_k t k 1
+      ( C_branch,
+        fun () ->
+          let _c = issue t t.slot_cycle in
+          count_k t k false;
+          attr_k t k 1 )
   | Br { cond; _ } -> (
       let k = class_index C_branch in
       match cond with
       | Ir.Reg r ->
-          fun () ->
-            let frame = current_frame t in
-            ignore (issue t frame.ready.(r));
-            count_k t k false;
-            attr_k t k 1
+          ( C_branch,
+            fun () ->
+              let frame = current_frame t in
+              ignore (issue t frame.ready.(r));
+              count_k t k false;
+              attr_k t k 1 )
       | Ir.Imm _ ->
-          fun () ->
-            ignore (issue t 0);
-            count_k t k false;
-            attr_k t k 1)
+          ( C_branch,
+            fun () ->
+              ignore (issue t 0);
+              count_k t k false;
+              attr_k t k 1 ))
   | Br_memo _ ->
+      (* Consumes the lookup's condition code; readiness is already folded
+         into [memo_port_free]. *)
       let k = class_index C_memo_branch in
-      fun () ->
-        ignore (issue t t.memo_port_free);
-        count_k t k true;
-        attr_k t k 1
+      ( C_memo_branch,
+        fun () ->
+          ignore (issue t t.memo_port_free);
+          count_k t k true;
+          attr_k t k 1 )
   | Ret ops ->
       let regs = reg_operands ops in
       let k = class_index C_call_ret in
-      fun () ->
-        let frame = current_frame t in
-        let ready = ready_of frame regs in
-        let c = issue t ready in
-        t.last_ret_ready <- max ready c;
-        count_k t k false;
-        attr_k t k 1
-
-(* Static classification, mirroring the class each [exec_instr] /
-   [exec_term] arm charges — used by the profiler to label work without
-   touching the timing paths. *)
-let classify_instr : Ir.instr -> instr_class = function
-  | Const _ | Mov _ | Select _ | Icmp _ -> C_ialu
-  | Binop { op; _ } -> (
-      match op with
-      | Mul -> C_imul
-      | Div | Rem -> C_idiv
-      | Add | Sub | And | Or | Xor | Shl | Lshr | Ashr -> C_ialu)
-  | Fbinop { op; _ } -> (
-      match op with Fdiv -> C_fdiv_sqrt | Fadd | Fsub | Fmul -> C_fp)
-  | Funop { op; _ } -> (
-      match op with
-      | Fsqrt -> C_fdiv_sqrt
-      | Fsin | Fcos | Fexp | Flog -> C_ftrig
-      | Fneg | Fabs | Ffloor | Fround -> C_fp)
-  | Fcmp _ -> C_fp
-  | Cast { op; _ } -> (
-      match op with
-      | I_to_f | F_to_i | F32_of_f64 | F64_of_f32 -> C_fp
-      | Bits_of_f32 | F32_of_bits | Bits_of_f64 | F64_of_bits | Sext_32_64
-      | Trunc_64_32 ->
-          C_ialu)
-  | Load _ -> C_load
-  | Store _ -> C_store
-  | Call _ -> C_call_ret
-  | Memo (Ld_crc _) -> C_load
-  | Memo (Reg_crc _) -> C_memo_send
-  | Memo (Lookup _) -> C_memo_lookup
-  | Memo (Update _) -> C_memo_update
-  | Memo (Invalidate _) -> C_memo_invalidate
-
-let classify_term : Ir.terminator -> instr_class = function
-  | Jmp _ | Br _ -> C_branch
-  | Br_memo _ -> C_memo_branch
-  | Ret _ -> C_call_ret
+      ( C_call_ret,
+        fun () ->
+          let frame = current_frame t in
+          let ready = ready_of frame regs in
+          let c = issue t ready in
+          t.last_ret_ready <- max ready c;
+          count_k t k false;
+          attr_k t k 1 )
 
 let memo_lut_of : Ir.memo_instr -> int = function
   | Ld_crc { lut; _ } | Reg_crc { lut; _ } | Lookup { lut; _ } | Update { lut; _ }
@@ -833,7 +601,24 @@ let p_charge t p r k =
     p.p_last <- c
   end
 
+(* The profiled sites wrap the unprofiled ones. The class index and a memo
+   instruction's region (its LUT's) are fixed when the site is compiled;
+   everything else is charged to the innermost frame's region, the one
+   value read per execution. *)
 let profiled_hooks t p : Interp.hooks =
+  let charge r k =
+    p.p_counts.(r).(k) <- p.p_counts.(r).(k) + 1;
+    p_charge t p r k
+  in
+  let attributed ~region (cls, run) =
+    let k = class_index cls in
+    if region >= 0 then fun x ->
+      run x;
+      charge region k
+    else fun x ->
+      run x;
+      charge (p_current p) k
+  in
   {
     Interp.on_enter =
       (fun fname ->
@@ -845,37 +630,18 @@ let profiled_hooks t p : Interp.hooks =
       (fun fname ->
         on_leave t fname;
         match p.p_stack with [] -> () | _ :: rest -> p.p_stack <- rest);
-    on_exec =
-      (fun _fname _bidx _iidx instr addr ->
-        exec_instr t instr addr;
-        let r =
-          match instr with
-          | Ir.Memo mi ->
-              let r = p.p_region_of_lut (memo_lut_of mi) in
-              if r < 0 then p_current p else r
-          | _ -> p_current p
+    exec_site =
+      (fun _fname _bidx _iidx instr ->
+        let region =
+          match instr with Ir.Memo mi -> p.p_region_of_lut (memo_lut_of mi) | _ -> -1
         in
-        let k = class_index (classify_instr instr) in
-        p.p_counts.(r).(k) <- p.p_counts.(r).(k) + 1;
-        p_charge t p r k);
-    on_term =
-      (fun _fname _bidx term ->
-        exec_term t term;
-        let r = p_current p in
-        let k = class_index (classify_term term) in
-        p.p_counts.(r).(k) <- p.p_counts.(r).(k) + 1;
-        p_charge t p r k);
-    (* no site compilers: profiled runs keep the generic flat callbacks, so
-       the compiled backend falls back to [on_exec]/[on_term] and profile
-       attribution stays on one code path for both backends *)
-    exec_site = None;
-    term_site = None;
+        attributed ~region (exec_site t instr));
+    term_site = (fun _fname _bidx term -> attributed ~region:(-1) (term_site t term));
   }
 
-(* Allocation-free attachment: flat callbacks, no event record per
-   instruction. Preferred on the simulation hot path. With a profiler
-   attached the callbacks additionally attribute each instruction to its
-   static region; without one they are exactly the unprofiled closures. *)
+(* With a profiler attached the sites additionally attribute each
+   instruction to its static region; without one they are exactly the
+   timing closures. *)
 let hooks t : Interp.hooks =
   match t.profile with
   | Some p -> profiled_hooks t p
@@ -883,10 +649,8 @@ let hooks t : Interp.hooks =
       {
         Interp.on_enter = on_enter t;
         on_leave = on_leave t;
-        on_exec = (fun _fname _bidx _iidx instr addr -> exec_instr t instr addr);
-        on_term = (fun _fname _bidx term -> exec_term t term);
-        exec_site = Some (exec_site t);
-        term_site = Some (term_site t);
+        exec_site = (fun _fname _bidx _iidx instr -> snd (exec_site t instr));
+        term_site = (fun _fname _bidx term -> snd (term_site t term));
       }
 
 let profile_close t =

@@ -1,12 +1,19 @@
 (** In-order dual-issue timing model.
 
-    Observes execution through {!Axmemo_ir.Interp.hooks} and charges cycles
-    according to the HPI-like {!Machine} configuration: issue-width-limited
-    in-order issue, scoreboarded operand readiness, functional-unit
-    contention (non-pipelined dividers/sqrt), loads and stores through an
+    Observes execution through the site compilers of
+    {!Axmemo_ir.Interp.hooks} and charges cycles according to the HPI-like
+    {!Machine} configuration: issue-width-limited in-order issue,
+    scoreboarded operand readiness, functional-unit contention
+    (non-pipelined dividers/sqrt), loads and stores through an
     {!Axmemo_cache.Hierarchy}, and the Table 4 latencies for the five AxMemo
     instructions, including the CRC input queue that can back-pressure the
     core.
+
+    Each instruction's class and timing rule is stated once, in the site
+    compiler that handles it: everything static (class, operand registers,
+    unit pool, latency) is resolved when the interpreter compiles the site,
+    and the returned closure charges one execution. The profiler's region
+    attribution wraps those same closures.
 
     Branch prediction is assumed perfect (the evaluated kernels are
     loop-dominated); this is noted in DESIGN.md. *)
@@ -116,9 +123,10 @@ val create :
 
 val hooks : t -> Axmemo_ir.Interp.hooks
 (** Allocation-free attachment; pass as the interpreter's [hooks]. With a
-    [?profile] collector attached the callbacks also attribute every
-    instruction to its static region; without one they are exactly the
-    unprofiled closures. *)
+    [?profile] collector attached each site also attributes its executions
+    to a static region (fixed at site compilation for memo instructions,
+    the innermost frame's otherwise); without one the sites are exactly
+    the timing closures. *)
 
 val profile_close : t -> unit
 (** Charge the cycles between the last retired instruction and the final

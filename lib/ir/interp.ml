@@ -8,38 +8,21 @@ type memo_hooks = {
 type hooks = {
   on_enter : string -> unit;
   on_leave : string -> unit;
-  on_exec : string -> int -> int -> Ir.instr -> int -> unit;
-  on_term : string -> int -> Ir.terminator -> unit;
-  exec_site : (string -> int -> int -> Ir.instr -> int -> unit) option;
-      (* site compiler: called at most once per static instruction (at
-         [create] under the compiled backend); the returned closure is then
-         invoked once per execution with the effective address, INSTEAD of
-         [on_exec]. Must be observationally identical to [on_exec]. *)
-  term_site : (string -> int -> Ir.terminator -> unit -> unit) option;
-      (* site compiler for terminators, replacing [on_term] per execution *)
+  exec_site : string -> int -> int -> Ir.instr -> int -> unit;
+      (* site compiler: called once per static instruction at [create]; the
+         returned closure runs once per execution with the effective
+         address *)
+  term_site : string -> int -> Ir.terminator -> unit -> unit;
+      (* site compiler for terminators *)
 }
 
 let no_hooks =
   {
     on_enter = ignore;
     on_leave = ignore;
-    on_exec = (fun _ _ _ _ _ -> ());
-    on_term = (fun _ _ _ -> ());
-    exec_site = None;
-    term_site = None;
+    exec_site = (fun _ _ _ _ -> ignore);
+    term_site = (fun _ _ _ -> ignore);
   }
-
-(* Resolve a hook side to its per-site closure: the compiled site when the
-   observer provides one, otherwise a wrapper over the flat callback. *)
-let exec_site_of h fname bidx iidx instr =
-  match h.exec_site with
-  | Some site -> site fname bidx iidx instr
-  | None -> fun addr -> h.on_exec fname bidx iidx instr addr
-
-let term_site_of h fname bidx term =
-  match h.term_site with
-  | Some site -> site fname bidx term
-  | None -> fun () -> h.on_term fname bidx term
 
 let combine_hooks a b =
   (* Attaching a single real consumer must not pay fan-out closures, so the
@@ -57,36 +40,20 @@ let combine_hooks a b =
         (fun fname ->
           a.on_leave fname;
           b.on_leave fname);
-      on_exec =
-        (fun fname bidx iidx instr addr ->
-          a.on_exec fname bidx iidx instr addr;
-          b.on_exec fname bidx iidx instr addr);
-      on_term =
-        (fun fname bidx term ->
-          a.on_term fname bidx term;
-          b.on_term fname bidx term);
       exec_site =
-        (match (a.exec_site, b.exec_site) with
-        | None, None -> None
-        | _ ->
-            Some
-              (fun fname bidx iidx instr ->
-                let fa = exec_site_of a fname bidx iidx instr in
-                let fb = exec_site_of b fname bidx iidx instr in
-                fun addr ->
-                  fa addr;
-                  fb addr));
+        (fun fname bidx iidx instr ->
+          let fa = a.exec_site fname bidx iidx instr in
+          let fb = b.exec_site fname bidx iidx instr in
+          fun addr ->
+            fa addr;
+            fb addr);
       term_site =
-        (match (a.term_site, b.term_site) with
-        | None, None -> None
-        | _ ->
-            Some
-              (fun fname bidx term ->
-                let fa = term_site_of a fname bidx term in
-                let fb = term_site_of b fname bidx term in
-                fun () ->
-                  fa ();
-                  fb ()));
+        (fun fname bidx term ->
+          let fa = a.term_site fname bidx term in
+          let fb = b.term_site fname bidx term in
+          fun () ->
+            fa ();
+            fb ());
     }
 
 (* Terminators with block labels pre-resolved to indices: the inner loop
@@ -98,10 +65,13 @@ type rterm =
   | Rbr_memo of { on_hit : int; on_miss : int }
   | Rret of Ir.operand array
 
+(* [sites]/[tsite] are the observer's per-site closures, compiled once at
+   [create] and shared by both backends; empty/no-op without hooks. *)
 type cblock = {
   instrs : Ir.instr array;
   rterm : rterm;
-  term : Ir.terminator;  (* original form, handed to the hook *)
+  sites : (int -> unit) array;
+  tsite : unit -> unit;
 }
 
 type cfunc = { fn : Ir.func; cblocks : cblock array }
@@ -135,7 +105,7 @@ type t = {
          create/compile cycle *)
 }
 
-let compile_func (f : Ir.func) =
+let compile_func (hooks : hooks option) (f : Ir.func) =
   let labels = Hashtbl.create 16 in
   Array.iteri (fun i (b : Ir.block) -> Hashtbl.replace labels b.label i) f.blocks;
   let resolve l =
@@ -144,8 +114,8 @@ let compile_func (f : Ir.func) =
     | None -> failwith (Printf.sprintf "Interp: unknown label %s in %s" l f.fname)
   in
   let cblocks =
-    Array.map
-      (fun (b : Ir.block) ->
+    Array.mapi
+      (fun bidx (b : Ir.block) ->
         let rterm =
           match b.term with
           | Ir.Jmp l -> Rjmp (resolve l)
@@ -155,7 +125,11 @@ let compile_func (f : Ir.func) =
               Rbr_memo { on_hit = resolve on_hit; on_miss = resolve on_miss }
           | Ir.Ret ops -> Rret ops
         in
-        { instrs = b.instrs; rterm; term = b.term })
+        match hooks with
+        | None -> { instrs = b.instrs; rterm; sites = [||]; tsite = ignore }
+        | Some h ->
+            let sites = Array.mapi (h.exec_site f.fname bidx) b.instrs in
+            { instrs = b.instrs; rterm; sites; tsite = h.term_site f.fname bidx b.term })
       f.blocks
   in
   { fn = f; cblocks }
@@ -266,7 +240,7 @@ let callee_func t callee =
   | Some cf -> cf
   | None -> failwith ("Interp: unknown function " ^ callee)
 
-let exec_memo t regs (m : Ir.memo_instr) : int =
+let eval_memo t regs (m : Ir.memo_instr) : int =
   match m with
   | Ld_crc { dst; ty; base; offset; lut; trunc } ->
       let a = Int64.to_int (vi (operand regs base)) + offset in
@@ -345,16 +319,17 @@ let exec_simple t regs (instr : Ir.instr) : int =
       let a = Int64.to_int (vi (operand regs base)) + offset in
       Memory.store t.mem ty a (operand regs src);
       a
-  | Memo m -> exec_memo t regs m
+  | Memo m -> eval_memo t regs m
   | Call _ -> assert false
 
 (* ------------------------------------------------------------------ *)
 (* Compiled backend: each basic block becomes a chain of closures built at
    [create]. Operands are resolved to array slots, callees and branch
-   targets to compiled-block references, and hook sites are specialized per
-   static instruction — the same specialization the interpreter loop does on
-   hook presence, pushed from run time to compile time. Dispatch is one
-   indirect call per block instead of a match per instruction. *)
+   targets to compiled-block references, and each instruction's hook site
+   (compiled once in [compile_func]) is chained in only when an observer is
+   attached — the specialization the interpreter loop does on hook
+   presence, pushed from run time to compile time. Dispatch is one indirect
+   call per block instead of a match per instruction. *)
 
 let vzero = Ir.VI 0L
 
@@ -520,7 +495,7 @@ let exec_ker t (k : ker) (args : Ir.value array) =
 
 (* Memoization hook presence is resolved at compile time: a memo-less
    context compiles [Reg_crc]/[Update]/[Invalidate] down to a step-count
-   bump. Semantics mirror [exec_memo] arm for arm. *)
+   bump. Semantics mirror [eval_memo] arm for arm. *)
 let compile_memo t (m : Ir.memo_instr) : Ir.value array -> int =
   match m with
   | Ld_crc { dst; ty; base; offset; lut; trunc } -> (
@@ -701,15 +676,11 @@ let compile_instr t (hk : (int -> unit) option) (instr : Ir.instr) :
             let a = ex regs in
             h a)
 
-let compile_block t (k : ker) fname bidx (cb : cblock) : Ir.value array -> int =
+let compile_block t (k : ker) (cb : cblock) : Ir.value array -> int =
   let steps =
     Array.mapi
       (fun iidx instr ->
-        let hk =
-          match t.hooks with
-          | None -> None
-          | Some h -> Some (exec_site_of h fname bidx iidx instr)
-        in
+        let hk = match t.hooks with None -> None | Some _ -> Some cb.sites.(iidx) in
         compile_instr t hk instr)
       cb.instrs
   in
@@ -737,8 +708,8 @@ let compile_block t (k : ker) fname bidx (cb : cblock) : Ir.value array -> int =
   let tail : Ir.value array -> int =
     match t.hooks with
     | None -> next
-    | Some h ->
-        let ts = term_site_of h fname bidx cb.term in
+    | Some _ ->
+        let ts = cb.tsite in
         fun regs ->
           ts ();
           next regs
@@ -771,7 +742,7 @@ let compile_all t =
     (fun name (cf : cfunc) ->
       let k = Hashtbl.find kers name in
       Array.iteri
-        (fun bidx cb -> k.k_body.(bidx) <- compile_block t k cf.fn.fname bidx cb)
+        (fun bidx cb -> k.k_body.(bidx) <- compile_block t k cb)
         cf.cblocks)
     t.funcs
 
@@ -788,7 +759,7 @@ let rec exec_func t (cf : cfunc) (args : Ir.value array) : Ir.value array =
   | None -> run_plain t cf regs 0
   | Some h ->
       h.on_enter fn.fname;
-      let results = run_hooked t h cf regs 0 in
+      let results = run_hooked t cf regs 0 in
       h.on_leave fn.fname;
       results
 
@@ -815,8 +786,7 @@ and run_plain t cf regs bidx : Ir.value array =
       run_plain t cf regs (if t.memo_flag then on_hit else on_miss)
   | Rret ops -> Array.map (operand regs) ops
 
-and run_hooked t h cf regs bidx : Ir.value array =
-  let fname = cf.fn.fname in
+and run_hooked t cf regs bidx : Ir.value array =
   let block = cf.cblocks.(bidx) in
   let instrs = block.instrs in
   let n = Array.length instrs in
@@ -826,24 +796,21 @@ and run_hooked t h cf regs bidx : Ir.value array =
     if t.nsteps > t.max_steps then failwith "Interp: step limit exceeded";
     match instr with
     | Call { callee; dsts; args } ->
-        (* The call event fires before the callee runs so a timing consumer
+        (* The call site fires before the callee runs so a timing consumer
            sees events in issue order. *)
-        h.on_exec fname bidx iidx instr (-1);
+        block.sites.(iidx) (-1);
         let g = callee_func t callee in
         let results = exec_func t g (Array.map (operand regs) args) in
         Array.iteri (fun i dst -> regs.(dst) <- results.(i)) dsts
-    | _ ->
-        let addr = exec_simple t regs instr in
-        h.on_exec fname bidx iidx instr addr
+    | _ -> block.sites.(iidx) (exec_simple t regs instr)
   done;
-  h.on_term fname bidx block.term;
+  block.tsite ();
   match block.rterm with
-  | Rjmp b -> run_hooked t h cf regs b
+  | Rjmp b -> run_hooked t cf regs b
   | Rbr { cond; if_true; if_false } ->
-      run_hooked t h cf regs
-        (if vi (operand regs cond) <> 0L then if_true else if_false)
+      run_hooked t cf regs (if vi (operand regs cond) <> 0L then if_true else if_false)
   | Rbr_memo { on_hit; on_miss } ->
-      run_hooked t h cf regs (if t.memo_flag then on_hit else on_miss)
+      run_hooked t cf regs (if t.memo_flag then on_hit else on_miss)
   | Rret ops -> Array.map (operand regs) ops
 
 let run t fname args =
@@ -871,7 +838,7 @@ let create ?memo ?hooks ?(max_steps = 2_000_000_000) ?(backend = `Compiled) ~pro
     ~mem () =
   let funcs = Hashtbl.create 16 in
   Array.iter
-    (fun (f : Ir.func) -> Hashtbl.replace funcs f.fname (compile_func f))
+    (fun (f : Ir.func) -> Hashtbl.replace funcs f.fname (compile_func hooks f))
     (program : Ir.program).funcs;
   let t =
     {

@@ -8,8 +8,9 @@
     Performance notes (the hot path of every simulation):
     - block labels are resolved to integer indices once at {!create}, so
       taking a branch is an array access, not a [Hashtbl.find];
-    - the observer interface is the flat-argument {!hooks} record — no event
-      record is allocated per dynamic instruction;
+    - the observer interface is the site-compiler {!hooks} record — each
+      static site's closure is built once, so no event record is allocated
+      per dynamic instruction;
     - the interpreter loop is specialized on hook presence at function-call
       granularity, so a hook-free run has no per-instruction hook dispatch. *)
 
@@ -27,28 +28,22 @@ type memo_hooks = {
 type hooks = {
   on_enter : string -> unit;  (** function entered *)
   on_leave : string -> unit;  (** function left *)
-  on_exec : string -> int -> int -> Ir.instr -> int -> unit;
-      (** [on_exec fname bidx iidx instr addr]: one instruction executed.
-          [addr] is the resolved effective address for memory instructions,
-          [-1] otherwise. For a [Call] the hook fires before the callee runs
-          (issue order). *)
-  on_term : string -> int -> Ir.terminator -> unit;
-      (** [on_term fname bidx term]: a terminator executed. *)
-  exec_site : (string -> int -> int -> Ir.instr -> int -> unit) option;
-      (** Optional site compiler. When present, the [`Compiled] backend
-          calls [site fname bidx iidx instr] at most once per {e static}
-          instruction (at {!create}) and invokes the returned closure with
-          the effective address once per execution, {e instead of}
-          [on_exec]. The closure must be observationally identical to the
-          corresponding [on_exec] call; observers that cannot precompute
-          anything leave this [None] and keep the flat callback. The
-          [`Interp] backend ignores it. *)
-  term_site : (string -> int -> Ir.terminator -> unit -> unit) option;
-      (** Site compiler for terminators, replacing [on_term] per execution
-          under the [`Compiled] backend. *)
+  exec_site : string -> int -> int -> Ir.instr -> int -> unit;
+      (** Site compiler for instructions. Both backends call
+          [exec_site fname bidx iidx instr] exactly once per {e static}
+          instruction, at {!create}, and invoke the returned closure once
+          per execution with the effective address ([-1] for non-memory
+          instructions). For a [Call] the closure fires before the callee
+          runs (issue order). Whatever the observer can decide from the
+          instruction alone (its class, latency, operand registers) belongs
+          in the compiler, not the closure. *)
+  term_site : string -> int -> Ir.terminator -> unit -> unit;
+      (** Site compiler for terminators, called once per static block at
+          {!create}; the closure runs once per executed terminator. *)
 }
-(** Allocation-free observer calling convention: each callback receives
-    flat arguments, so no record is allocated per event. *)
+(** Observer calling convention: per-site closures compiled once, so no
+    event record is allocated and nothing is re-classified per dynamic
+    instruction. *)
 
 val no_hooks : hooks
 (** The canonical no-op observer. {!combine_hooks} recognises it physically
@@ -56,10 +51,9 @@ val no_hooks : hooks
     fan-out closures. *)
 
 val combine_hooks : hooks -> hooks -> hooks
-(** Fan one execution out to two observers, first-before-second. When either
-    side is {!no_hooks} the other is returned unchanged. Site compilers
-    compose: if at least one side provides one, the combined record does
-    too, wrapping the siteless side's flat callback. *)
+(** Fan one execution out to two observers, first-before-second: each
+    combined site runs both sides' site closures. When either side is
+    {!no_hooks} the other is returned unchanged. *)
 
 type t
 
@@ -67,9 +61,9 @@ type backend = [ `Interp | `Compiled ]
 (** Execution strategy. [`Interp] walks the IR per instruction; [`Compiled]
     pre-compiles every basic block into a chain of closures at {!create}
     (operands resolved to array slots, branch targets to compiled-block
-    references, hook sites specialized per static instruction) and
-    dispatches once per block. Both are pinned bit-identical: same results,
-    same {!steps}, same hook call sequence. *)
+    references) and dispatches once per block. Both run the same hook site
+    closures and are pinned bit-identical: same results, same {!steps},
+    same hook call sequence. *)
 
 val create :
   ?memo:memo_hooks ->

@@ -199,37 +199,36 @@ let on_leave t _fname =
             dsts
       | _ -> ())
 
-let on_exec t fname bidx iidx (instr : Ir.instr) addr =
+let exec_site t fname bidx iidx (instr : Ir.instr) =
   match instr with
   | Call { dsts; args; _ } ->
       (* No vertex: the call is inlined into the trace; remember the
          argument producers for parameter binding at Enter. *)
-      t.pending_args <-
-        Array.map
-          (fun o ->
-            match producer_of_operand t o with Some id -> id | None -> fresh_ext t)
-          args;
-      t.pending_dsts <- Some dsts
-  | _ -> record t fname bidx iidx instr addr
+      fun _addr ->
+        t.pending_args <-
+          Array.map
+            (fun o ->
+              match producer_of_operand t o with Some id -> id | None -> fresh_ext t)
+            args;
+        t.pending_dsts <- Some dsts
+  | _ -> fun addr -> record t fname bidx iidx instr addr
 
-let on_term t _fname _bidx (term : Ir.terminator) =
+let term_site t _fname _bidx (term : Ir.terminator) =
   match term with
   | Ret ops ->
-      t.last_ret <-
-        Array.map
-          (fun o -> match producer_of_operand t o with Some id -> id | None -> fresh_ext t)
-          ops
-  | Jmp _ | Br _ | Br_memo _ -> ()
+      fun () ->
+        t.last_ret <-
+          Array.map
+            (fun o -> match producer_of_operand t o with Some id -> id | None -> fresh_ext t)
+            ops
+  | Jmp _ | Br _ | Br_memo _ -> ignore
 
 let hooks t : Interp.hooks =
   {
     Interp.on_enter = on_enter t;
     on_leave = on_leave t;
-    on_exec = on_exec t;
-    on_term = on_term t;
-    (* the tracer resolves producers dynamically; nothing to precompute *)
-    exec_site = None;
-    term_site = None;
+    exec_site = exec_site t;
+    term_site = term_site t;
   }
 
 let entries t = Array.sub t.buf 0 t.count

@@ -98,11 +98,11 @@ let observe backend program arg =
   let record e = events := e :: !events in
   let hooks =
     {
-      Interp.no_hooks with
-      on_enter = (fun fname -> record (Enter fname));
+      Interp.on_enter = (fun fname -> record (Enter fname));
       on_leave = (fun fname -> record (Leave fname));
-      on_exec = (fun fname bidx iidx instr addr -> record (Exec (fname, bidx, iidx, instr, addr)));
-      on_term = (fun fname bidx term -> record (Term (fname, bidx, term)));
+      exec_site =
+        (fun fname bidx iidx instr addr -> record (Exec (fname, bidx, iidx, instr, addr)));
+      term_site = (fun fname bidx term () -> record (Term (fname, bidx, term)));
     }
   in
   let mem = Memory.create () in
