@@ -200,7 +200,7 @@ let maybe_replicate t ~nid ~local ~lut_id ~key ~payload =
     let n = 1 + Option.value ~default:0 (Hashtbl.find_opt t.hot hk) in
     if n >= t.cfg.replicate_threshold then begin
       Hashtbl.remove t.hot hk;
-      local.Memo_unit.sl_insert ~lut_id ~key ~payload;
+      local.Memo_unit.insert ~lut_id ~key ~payload;
       let m = Option.value ~default:0 (Hashtbl.find_opt t.replicas (lut_id, key)) in
       Hashtbl.replace t.replicas (lut_id, key) (m lor node_bit nid);
       register_sharer t ~lut:lut_id ~node:nid;
@@ -211,13 +211,13 @@ let maybe_replicate t ~nid ~local ~lut_id ~key ~payload =
     else Hashtbl.replace t.hot hk n
   end
 
-(* The per-core shared-L2 port of node [nid]: traffic whose key homes here
-   falls through to the node-local port (bank arbitration included);
-   everything else crosses the interconnect. Remote probes bypass the home
-   node's bank arbiter — NIC service occupancy covers their serialization —
-   and use the requester's local core index for the home structure's shadow
-   accounting. *)
-let make_port t nid ~core ~now ~local =
+(* The routed shared level of node [nid], one per core: traffic whose key
+   homes here falls through to the node-local level (bank arbitration
+   included); everything else crosses the interconnect. Remote probes
+   bypass the home node's bank arbiter — NIC service occupancy covers their
+   serialization — and use the requester's local core index for the home
+   structure's shadow accounting. *)
+let routed_level t nid ~core ~now ~(local : Memo_unit.port) =
   let gcore = (nid * t.npc) + core in
   let replica_bit lut_id key =
     match Hashtbl.find_opt t.replicas (lut_id, key) with
@@ -225,12 +225,13 @@ let make_port t nid ~core ~now ~local =
     | None -> false
   in
   {
-    Memo_unit.sl_lookup =
+    local with
+    Memo_unit.probe =
       (fun ~lut_id ~key ->
         let home = shard_of_key ~nodes:t.cfg.nodes key in
         t.st.shard_accesses.(home) <- t.st.shard_accesses.(home) + 1;
         if home = nid then begin
-          let r = local.Memo_unit.sl_lookup ~lut_id ~key in
+          let r = local.probe ~lut_id ~key in
           (match r with
           | Some _ -> register_sharer t ~lut:lut_id ~node:nid
           | None -> ());
@@ -239,7 +240,7 @@ let make_port t nid ~core ~now ~local =
         else begin
           let served =
             if t.cfg.replicate_threshold > 0 && replica_bit lut_id key then begin
-              match local.Memo_unit.sl_lookup ~lut_id ~key with
+              match local.probe ~lut_id ~key with
               | Some v ->
                   t.st.replica_hits <- t.st.replica_hits + 1;
                   register_sharer t ~lut:lut_id ~node:nid;
@@ -275,13 +276,13 @@ let make_port t nid ~core ~now ~local =
               | None -> ());
               r
         end);
-    sl_insert =
+    insert =
       (fun ~lut_id ~key ~payload ->
         let home = shard_of_key ~nodes:t.cfg.nodes key in
         t.st.shard_accesses.(home) <- t.st.shard_accesses.(home) + 1;
         (* the updating unit's L1 holds the entry either way *)
         register_sharer t ~lut:lut_id ~node:nid;
-        (if home = nid then local.Memo_unit.sl_insert ~lut_id ~key ~payload
+        (if home = nid then local.insert ~lut_id ~key ~payload
          else begin
            t.st.remote_inserts <- t.st.remote_inserts + 1;
            send_msg t ~gcore ~kind:Insert ~src:nid ~dst:home ~lut:lut_id
@@ -292,7 +293,6 @@ let make_port t nid ~core ~now ~local =
          end);
         if t.cfg.replicate_threshold > 0 then
           invalidate_replicas t ~gcore ~home ~lut_id ~key ~at:(now ()));
-    sl_invalidate = (fun ~lut_id -> local.Memo_unit.sl_invalidate ~lut_id);
   }
 
 (* Deliver one cross-node LUT invalidation: the destination drops the LUT
@@ -368,36 +368,8 @@ let create ?(metrics = false) ?(profile = false) (cfg : config) =
   validate cfg;
   let npc = cfg.node.Corun.ncores in
   let gcores = cfg.nodes * npc in
-  (* The per-core ports close over the cluster record, which closes over
-     the node array — tied with a forward reference. The port maker runs
-     eagerly inside create_cluster (before the record exists), so the
-     routed port is forced lazily on first access; no request can run
-     before wiring completes. A 1-node cluster takes neither hook, so it
-     is the Corun model verbatim. *)
-  let tref = ref None in
-  let the () =
-    match !tref with Some t -> t | None -> failwith "Cluster: port used before wiring"
-  in
   let nodes =
-    Array.init cfg.nodes (fun nid ->
-        if cfg.nodes = 1 then Corun.create_cluster ~metrics ~profile cfg.node
-        else
-          Corun.create_cluster ~metrics ~profile
-            ~l2_port:(fun ~core ~now ~local ->
-              let port = lazy (make_port (the ()) nid ~core ~now ~local) in
-              {
-                Memo_unit.sl_lookup =
-                  (fun ~lut_id ~key ->
-                    (Lazy.force port).Memo_unit.sl_lookup ~lut_id ~key);
-                sl_insert =
-                  (fun ~lut_id ~key ~payload ->
-                    (Lazy.force port).Memo_unit.sl_insert ~lut_id ~key ~payload);
-                sl_invalidate =
-                  (fun ~lut_id ->
-                    (Lazy.force port).Memo_unit.sl_invalidate ~lut_id);
-              })
-            ~on_invalidate:(fun ~core ~lut ~at -> on_invalidate (the ()) nid ~core ~lut ~at)
-            cfg.node)
+    Array.init cfg.nodes (fun _ -> Corun.create_cluster ~metrics ~profile cfg.node)
   in
   let t =
     {
@@ -437,7 +409,15 @@ let create ?(metrics = false) ?(profile = false) (cfg : config) =
       mseq = 0;
     }
   in
-  tref := Some t;
+  (* The routed levels close over the cluster record, so they are
+     installed once it exists, before any request runs. A 1-node cluster
+     is not routed: it is the Corun model verbatim. *)
+  if cfg.nodes > 1 then
+    Array.iteri
+      (fun nid nd ->
+        Corun.route nd ~level:(routed_level t nid)
+          ~on_invalidate:(fun ~core ~lut ~at -> on_invalidate t nid ~core ~lut ~at))
+      nodes;
   t
 
 let nodes t = t.cfg.nodes

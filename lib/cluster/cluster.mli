@@ -20,10 +20,13 @@
     [--jobs] setting. Network energy is reported beside, never inside,
     [total_pj], mirroring the DRAM-tier convention.
 
-    {!run} is the one closed-stream driver. A 1-node cluster installs
-    neither the routing port nor the directory hook, so [nodes = 1] is the
-    co-run of {!Corun}'s node, and {!corun_report} renders it in the
-    co-run report shape. *)
+    Shard routing is one level port ([Axmemo_memo.Memo_unit.port]): once
+    the cluster record exists, {!Corun.route} replaces each core's
+    node-local shared level with its routed form, which falls through to
+    the local level for keys homed on the node. {!run} is the one
+    closed-stream driver. A 1-node cluster is routed by neither the level
+    nor the directory hook, so [nodes = 1] is the co-run of {!Corun}'s
+    node, and {!corun_report} renders it in the co-run report shape. *)
 
 module Corun = Axmemo_multicore.Corun
 
@@ -80,9 +83,10 @@ val ring_hops : nodes:int -> int -> int -> int
 type t
 
 val create : ?metrics:bool -> ?profile:bool -> config -> t
-(** Builds the M nodes ({!Corun.create_cluster} each, with the shard-
-    routing L2 port and the directory invalidate hook installed when
-    [nodes > 1]) plus the interconnect arbiter and directory state.
+(** Builds the M nodes ({!Corun.create_cluster} each) plus the
+    interconnect arbiter and directory state, then, when [nodes > 1],
+    routes every node ({!Corun.route}): the shard-routed shared level and
+    the directory invalidate hook.
     @raise Invalid_argument as {!validate}. *)
 
 val nodes : t -> int

@@ -199,7 +199,7 @@ let execute ~label ~wall_start ~metrics ~profile ~backend ~memo ~observe ~progra
     Pipeline.create ?metrics ?profile ~machine
       ?lookup_level:(Option.map (fun m -> lookup_level m.unit) memo)
       ?l2_lut_present:(Option.map (fun m -> m.l2_lut_present) memo)
-      ?l3_lookup_cycles:(Option.map (fun m () -> Memo_unit.last_l3_cycles m.unit) memo)
+      ?l3_lookup_cycles:(Option.map (fun m () -> Memo_unit.last_probe_cycles m.unit) memo)
       ?l1_lut_ways:(Option.map (fun m -> Memo_unit.l1_ways m.unit) memo)
       ?crc_bytes_per_cycle:(Option.map (fun m -> m.crc_bytes_per_cycle) memo)
       ~program ~hierarchy ()

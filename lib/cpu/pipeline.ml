@@ -29,12 +29,6 @@ type stats = {
   crc_stall_cycles : int;
 }
 
-type frame = {
-  ready : int array;  (* per-register ready cycle *)
-  call_binding : (int array * int array) option;
-      (* (dst registers, caller's ready array) to fill at Leave *)
-}
-
 (* Telemetry attachment: live CRC back-pressure samples plus per-class
    occupancy-cycle attribution, mirrored into counters by [flush_metrics].
    Purely observational — timing results are bit-identical either way. *)
@@ -101,8 +95,15 @@ type t = {
   div : int array;
   fpu : int array;
   lsu : int array;
-  mutable frames : frame list;
-  mutable pending_call : (int array * int array) option;
+  (* Frame arenas, one slot per call depth and reused by every frame at
+     that depth: [ready.(d)] holds the per-register ready cycles of the
+     live frame at depth [d], [binds.(d)] the caller registers it fills at
+     Leave ([||] for a frame not entered through a call site). *)
+  mutable depth : int;
+  mutable ready : int array array;
+  mutable binds : int array array;
+  mutable pending_dsts : int array;  (* set by a call site, taken by [on_enter] *)
+  mutable pending_nregs : int;  (* the callee's register count; -1 = no call *)
   mutable pending_args_ready : int;
   mutable last_ret_ready : int;
   mutable crc_done : int;
@@ -205,8 +206,11 @@ let create ?metrics ?profile:prof ?(machine = Machine.hpi) ?lookup_level
     div = Array.make machine.n_div 0;
     fpu = Array.make machine.n_fpu 0;
     lsu = Array.make machine.n_lsu 0;
-    frames = [];
-    pending_call = None;
+    depth = 0;
+    ready = Array.make 8 [||];
+    binds = Array.make 8 [||];
+    pending_dsts = [||];
+    pending_nregs = -1;
     pending_args_ready = 0;
     last_ret_ready = 0;
     crc_done = 0;
@@ -247,9 +251,8 @@ let pool_min pool =
   !best
 
 let current_frame t =
-  match t.frames with
-  | f :: _ -> f
-  | [] -> failwith "Pipeline: event outside any frame"
+  if t.depth = 0 then failwith "Pipeline: event outside any frame"
+  else Array.unsafe_get t.ready (t.depth - 1)
 
 (* Sends to the CRC unit: the queue drains one byte per cycle; the core
    stalls only when the queue is full (Table 4). [avail] is when the bytes
@@ -265,22 +268,37 @@ let crc_queue_constraint t ~bytes =
 
 let m t = t.machine
 
+let frame_regs t fname = try Hashtbl.find t.nregs_of fname with Not_found -> 64
+
+(* A call site has already resolved its callee's register count; only a
+   frame entered from outside (the run's entry function) looks it up. *)
 let on_enter t fname =
-  let nregs = try Hashtbl.find t.nregs_of fname with Not_found -> 64 in
-  let binding = t.pending_call in
-  t.pending_call <- None;
-  let ready = Array.make nregs (max t.pending_args_ready t.slot_cycle) in
-  t.frames <- { ready; call_binding = binding } :: t.frames
+  let nregs = if t.pending_nregs >= 0 then t.pending_nregs else frame_regs t fname in
+  let d = t.depth in
+  if d = Array.length t.ready then begin
+    let grow a = Array.append a (Array.make d [||]) in
+    t.ready <- grow t.ready;
+    t.binds <- grow t.binds
+  end;
+  if Array.length t.ready.(d) < nregs then t.ready.(d) <- Array.make nregs 0;
+  Array.fill t.ready.(d) 0 nregs (max t.pending_args_ready t.slot_cycle);
+  t.binds.(d) <- t.pending_dsts;
+  t.pending_dsts <- [||];
+  t.pending_nregs <- -1;
+  t.depth <- d + 1
 
 let on_leave t _fname =
-  match t.frames with
-  | [] -> ()
-  | frame :: rest ->
-      t.frames <- rest;
-      (match frame.call_binding with
-      | Some (dsts, caller_ready) ->
-          Array.iter (fun r -> caller_ready.(r) <- t.last_ret_ready) dsts
-      | None -> ())
+  if t.depth > 0 then begin
+    let d = t.depth - 1 in
+    t.depth <- d;
+    let dsts = t.binds.(d) in
+    if Array.length dsts > 0 then begin
+      let caller = t.ready.(d - 1) in
+      for i = 0 to Array.length dsts - 1 do
+        caller.(dsts.(i)) <- t.last_ret_ready
+      done
+    end
+  end
 
 let cycles t = max t.slot_cycle t.horizon
 
@@ -310,17 +328,17 @@ let[@inline] attr_k t k cyc =
   | None -> ()
 
 (* max-fold over a precomputed register array *)
-let[@inline] ready_of (frame : frame) (rs : int array) =
+let[@inline] ready_of (frame : int array) (rs : int array) =
   let r = ref 0 in
   for i = 0 to Array.length rs - 1 do
-    let v = frame.ready.(Array.unsafe_get rs i) in
+    let v = frame.(Array.unsafe_get rs i) in
     if v > !r then r := v
   done;
   !r
 
-let[@inline] complete_arr t (frame : frame) (dsts : int array) at =
+let[@inline] complete_arr t (frame : int array) (dsts : int array) at =
   for i = 0 to Array.length dsts - 1 do
-    frame.ready.(Array.unsafe_get dsts i) <- at
+    frame.(Array.unsafe_get dsts i) <- at
   done;
   if at > t.horizon then t.horizon <- at
 
@@ -425,9 +443,10 @@ let exec_site t (instr : Ir.instr) : instr_class * (int -> unit) =
           if c + latency > t.horizon then t.horizon <- c + latency;
           count_k t k false;
           attr_k t k latency )
-  | Call { args; dsts; _ } ->
+  | Call { callee; args; dsts } ->
       (* The bl instruction: a branch-class issue slot. *)
       let arg_regs = reg_operands args in
+      let nregs = frame_regs t callee in
       let k = class_index C_call_ret in
       ( C_call_ret,
         fun _addr ->
@@ -435,7 +454,8 @@ let exec_site t (instr : Ir.instr) : instr_class * (int -> unit) =
           let ready = ready_of frame arg_regs in
           let c = issue t ready in
           t.pending_args_ready <- max ready c;
-          t.pending_call <- Some (Array.copy dsts, frame.ready);
+          t.pending_dsts <- dsts;
+          t.pending_nregs <- nregs;
           count_k t k false;
           attr_k t k 1 )
   | Memo mi -> (
@@ -554,7 +574,7 @@ let term_site t (term : Ir.terminator) : instr_class * (unit -> unit) =
           ( C_branch,
             fun () ->
               let frame = current_frame t in
-              ignore (issue t frame.ready.(r));
+              ignore (issue t frame.(r));
               count_k t k false;
               attr_k t k 1 )
       | Ir.Imm _ ->

@@ -54,37 +54,35 @@ let default_config =
 
 type lut_decl = { lut_id : int; payload : Payload.kind }
 
-(* External next-level LUT (the multi-core shared L2). The unit treats it
-   exactly like its private L2 — probe on an L1 miss, fill on update, drop a
-   logical LUT on invalidate — but the storage, partitioning and arbitration
-   all live with the caller. *)
-type shared_l2 = {
-  sl_lookup : lut_id:int -> key:int64 -> int64 option;
-  sl_insert : lut_id:int -> key:int64 -> payload:int64 -> unit;
-  sl_invalidate : lut_id:int -> unit;
-}
-
 type level = Hit_l1 | Hit_l2 | Hit_l3 | Miss
 
-(* External DRAM LUT tier (lib/tier's Dram_lut, owned by the cluster).
-   Another neutral closure record, like [shared_l2]: probed after the last
-   SRAM level misses, filled by the spill chain, never written by [update]
-   directly. [t3_cycles] reads the cost of the probe just issued so the
-   pipeline can charge DRAM latency on the lookup path. *)
-type l3_port = {
-  t3_lookup : lut_id:int -> key:int64 -> int64 option;
-  t3_cycles : unit -> int;
-  t3_spill : lut_id:int -> key:int64 -> payload:int64 -> unit;
-  t3_invalidate : lut_id:int -> unit;
-  t3_decay : unit -> (int64 * int64) option;
-      (* (clean, as-read) payload pair when the lookup just issued returned a
+(* One level of the LUT hierarchy behind the private L1: a private or
+   node-shared SRAM L2 (tagged [Hit_l2]) or a DRAM tier (tagged [Hit_l3]).
+   The unit walks its ordered chain of ports on every lookup, update and
+   invalidate; storage, partitioning, arbitration and routing all live
+   behind the closures. A [Hit_l3] level is victim-fed: its owner routes the
+   victims of the level above into [insert] (the evict sink), and the unit
+   itself never writes it. *)
+type port = {
+  hit : level;
+  probe : lut_id:int -> key:int64 -> int64 option;
+  cycles : unit -> int;
+      (* extra lookup cycles of the probe just issued (row-buffer dependent
+         for a DRAM tier; 0 for an SRAM level, whose latency the pipeline
+         charges from [hit]) *)
+  decay : unit -> (int64 * int64) option;
+      (* (clean, as-read) payload pair when the probe just issued returned a
          payload whose relaxed low bits had decayed; None on an exact read.
          Feeds the quality monitor's observed-error window. *)
+  insert : lut_id:int -> key:int64 -> payload:int64 -> unit;
+  invalidate : lut_id:int -> unit;
 }
 
+let sram_level p = p.hit <> Hit_l3
+
 (* Profiling attachment (the attribution profiler in lib/obs). Like
-   [shared_l2] this is a neutral closure record so the unit does not depend
-   on the observability layer: the collector classifies misses by replaying
+   [port] this is a neutral closure record so the unit does not depend on
+   the observability layer: the collector classifies misses by replaying
    residency from these events. Purely observational. *)
 type profile_hooks = {
   pr_lookup :
@@ -206,8 +204,8 @@ type t = {
   cfg : config;
   decls : (int, lut_decl) Hashtbl.t;
   l1 : Lut.t;
-  l2 : Lut.t option;
-  shared_l2 : shared_l2 option;
+  private_l2 : Lut.t option;  (* [cfg.l2_bytes] storage: occupancy, entries, reset *)
+  mutable chain : port array;  (* the levels behind the L1, top-down *)
   (* Hash value registers: in-flight CRC state per logical LUT. The optional
      second engine computes a 64-bit fingerprint of the same byte stream for
      collision measurement. *)
@@ -218,14 +216,12 @@ type t = {
   fingerprints : (int * int64, int64) Hashtbl.t;
   monitor : monitor_state;
   adapt : adapt_state option;
-  (* DRAM tier attachment ([attach_l3]); [last_l3_cycles] is the DRAM cost
-     of the most recent lookup's L3 probe (0 when no probe was issued), read
-     by the pipeline's latency charge. *)
-  mutable l3 : l3_port option;
-  mutable last_l3_cycles : int;
-  mutable l3_hits_c : Registry.counter option;
-  (* Registered lazily on the first decayed L3 read, so fault-free (and
-     L3-less) snapshots stay byte-identical. *)
+  (* Extra cycles the most recent lookup's chain probes charged (0 when
+     only SRAM levels were probed), read by the pipeline's latency charge. *)
+  mutable last_probe_cycles : int;
+  l3_hits_c : Registry.counter option;  (* registered only with a tier *)
+  (* Registered lazily on the first decayed tier read, so fault-free (and
+     tier-less) snapshots stay byte-identical. *)
   mutable decay_samples_c : Registry.counter option;
   mutable last_level : level;
   mutable sends : int;
@@ -245,12 +241,9 @@ type t = {
      profiling window? (plain field, so the unprofiled path stays
      allocation-free) *)
   mutable pr_forced : bool;
-  (* evict observers, pre-combined (telemetry counters + profiler) at
-     [create] so insert sites pass one option without allocating; mutable
-     only so [attach_l3] can extend the last SRAM level's hook with the
-     spill into the DRAM tier *)
-  mutable l1_evict_opt : (lut_id:int -> key:int64 -> payload:int64 -> unit) option;
-  mutable l2_evict_opt : (lut_id:int -> key:int64 -> payload:int64 -> unit) option;
+  (* the L1's evict observer, pre-combined (telemetry counters + profiler)
+     at [create] so insert sites pass one option without allocating *)
+  l1_evict_opt : (lut_id:int -> key:int64 -> payload:int64 -> unit) option;
   injector : Injector.t option;
   crc_fault : (int -> int64) option;
       (* the injector's datapath hook, resolved once so [engines] can pass it
@@ -304,11 +297,7 @@ let make_telem reg ~has_l2 ~private_l2 =
     mon_comparisons_c = counter "memo.monitor.comparisons";
   }
 
-let create ?metrics ?shared_l2 ?profile cfg decls =
-  (match (cfg.l2_bytes, shared_l2) with
-  | Some _, Some _ ->
-      invalid_arg "Memo_unit.create: a unit cannot have both a private and a shared L2 LUT"
-  | _ -> ());
+let create ?metrics ?(levels = []) ?profile cfg decls =
   let tbl = Hashtbl.create 8 in
   List.iter
     (fun d ->
@@ -327,7 +316,7 @@ let create ?metrics ?shared_l2 ?profile cfg decls =
     Lut.create ~payload_bytes:cfg.payload_bytes ~policy:cfg.policy
       ?faults:(lut_faults Fault_model.l1_sites) ~size_bytes:cfg.l1_bytes ()
   in
-  let l2 =
+  let private_l2 =
     Option.map
       (fun b ->
         Lut.create ~payload_bytes:cfg.payload_bytes ~policy:cfg.policy
@@ -338,8 +327,8 @@ let create ?metrics ?shared_l2 ?profile cfg decls =
     Option.map
       (fun reg ->
         make_telem reg
-          ~has_l2:(cfg.l2_bytes <> None || Option.is_some shared_l2)
-          ~private_l2:(cfg.l2_bytes <> None))
+          ~has_l2:(private_l2 <> None || List.exists sram_level levels)
+          ~private_l2:(private_l2 <> None))
       metrics
   in
   (* Pre-combine the eviction observers: telemetry counters and the
@@ -362,19 +351,29 @@ let create ?metrics ?shared_l2 ?profile cfg decls =
   let l1_evict_opt =
     combine_evict l1 `L1 (match telem with Some tl -> tl.l1_evict_opt | None -> None)
   in
-  let l2_evict_opt =
-    match l2 with
-    | None -> None
-    | Some l2lut ->
-        combine_evict l2lut `L2
-          (match telem with Some tl -> tl.l2_evict_opt | None -> None)
+  (* A configured private L2 is the first level behind the L1. *)
+  let private_level l2 =
+    let evict =
+      combine_evict l2 `L2 (match telem with Some tl -> tl.l2_evict_opt | None -> None)
+    in
+    {
+      hit = Hit_l2;
+      probe = (fun ~lut_id ~key -> Lut.lookup l2 ~lut_id ~key);
+      cycles = (fun () -> 0);
+      decay = (fun () -> None);
+      insert = (fun ~lut_id ~key ~payload -> Lut.insert l2 ~lut_id ~key ~payload evict);
+      invalidate = (fun ~lut_id -> Lut.invalidate_lut l2 ~lut_id);
+    }
+  in
+  let chain =
+    Array.of_list (Option.to_list (Option.map private_level private_l2) @ levels)
   in
   {
     cfg;
     decls = tbl;
     l1;
-    l2;
-    shared_l2;
+    private_l2;
+    chain;
     hvr = Hashtbl.create 8;
     latched_key = Hashtbl.create 8;
     latched_fp = Hashtbl.create 8;
@@ -404,9 +403,14 @@ let create ?metrics ?shared_l2 ?profile cfg decls =
             samples = Hashtbl.create 8;
           })
         cfg.adaptive;
-    l3 = None;
-    last_l3_cycles = 0;
-    l3_hits_c = None;
+    last_probe_cycles = 0;
+    (* Only a unit with a tier registers [memo.l3.hits], so a tier-less
+       unit's metrics snapshot has no L3 entry. *)
+    l3_hits_c =
+      (match telem with
+      | Some tl when List.exists (fun p -> not (sram_level p)) levels ->
+          Some (Registry.counter tl.reg "memo.l3.hits")
+      | _ -> None);
     decay_samples_c = None;
     last_level = Miss;
     sends = 0;
@@ -424,7 +428,6 @@ let create ?metrics ?shared_l2 ?profile cfg decls =
     profile;
     pr_forced = false;
     l1_evict_opt;
-    l2_evict_opt;
     injector;
     crc_fault = (match injector with Some inj -> Injector.crc_hook inj | None -> None);
     fault_telem =
@@ -455,31 +458,21 @@ let trip_lookup t = t.monitor.trip_at
 let monitor_observed t = (t.monitor.total_samples, t.monitor.total_bad)
 let injector t = t.injector
 
-(* Attach the DRAM tier. The spill chain extends the *last SRAM level*: a
-   private L2's victims (or, with neither an L2 nor a shared one, the L1's)
-   flow into [t3_spill]. Units backed by a cluster-shared L2 spill at the
-   cluster layer instead (the shared LUT's eviction hook), so nothing is
-   wrapped here. The [memo.l3.hits] counter is registered only now — an
-   L3-less unit's metrics snapshot stays byte-identical to one taken before
-   this tier existed. *)
-let attach_l3 t port =
-  if t.l3 <> None then invalid_arg "Memo_unit.attach_l3: already attached";
-  t.l3 <- Some port;
-  (match t.telem with
-  | Some tl -> t.l3_hits_c <- Some (Registry.counter tl.reg "memo.l3.hits")
-  | None -> ());
-  let wrap prev =
-    Some
-      (fun ~lut_id ~key ~payload ->
-        (match prev with Some f -> f ~lut_id ~key ~payload | None -> ());
-        port.t3_spill ~lut_id ~key ~payload)
-  in
-  match (t.l2, t.shared_l2) with
-  | Some _, _ -> t.l2_evict_opt <- wrap t.l2_evict_opt
-  | None, Some _ -> ()
-  | None, None -> t.l1_evict_opt <- wrap t.l1_evict_opt
+(* Swap how the external levels are served (a cluster's shard routing)
+   without changing which levels exist: telemetry and spill accounting were
+   fixed at [create]. *)
+let set_levels t levels =
+  let own = if t.private_l2 = None then 0 else 1 in
+  if own + List.length levels <> Array.length t.chain then
+    invalid_arg "Memo_unit.set_levels: the chain changes length";
+  List.iteri
+    (fun i p ->
+      if p.hit <> t.chain.(own + i).hit then
+        invalid_arg "Memo_unit.set_levels: a level changes kind")
+    levels;
+  t.chain <- Array.append (Array.sub t.chain 0 own) (Array.of_list levels)
 
-let last_l3_cycles t = t.last_l3_cycles
+let last_probe_cycles t = t.last_probe_cycles
 
 let engines t ~tid lut =
   match Hashtbl.find_opt t.hvr (lut, tid) with
@@ -515,9 +508,6 @@ let extra_truncation t ~lut_id =
   | None -> 0
   | Some a -> Option.value ~default:0 (Hashtbl.find_opt a.deltas lut_id)
 
-let l1_evict_hook t = t.l1_evict_opt
-let l2_evict_hook t = t.l2_evict_opt
-
 let send ?(tid = 0) t ~lut ~ty ~trunc v =
   if not t.monitor.tripped then begin
     let trunc = trunc + extra_truncation t ~lut_id:lut in
@@ -531,6 +521,12 @@ let send ?(tid = 0) t ~lut ~ty ~trunc v =
     | Some tl -> Registry.observe tl.trunc_hist (float_of_int trunc)
     | None -> ()
   end
+
+(* Drop one logical LUT from the L1 and every level behind it, top-down. *)
+let drop_lut t ~lut =
+  Lut.invalidate_lut t.l1 ~lut_id:lut;
+  Array.iter (fun p -> p.invalidate ~lut_id:lut) t.chain;
+  match t.profile with Some pr -> pr.pr_invalidate ~lut | None -> ()
 
 (* Phase machine for the adaptive mode: normal -> profiling -> adjust. *)
 let adapt_tick t =
@@ -569,14 +565,7 @@ let adapt_tick t =
                 Hashtbl.replace a.deltas lut fresh;
                 (* A different truncation changes every hash: drop the now
                    unreachable entries. *)
-                Lut.invalidate_lut t.l1 ~lut_id:lut;
-                Option.iter (fun l2 -> Lut.invalidate_lut l2 ~lut_id:lut) t.l2;
-                (match t.shared_l2 with
-                | Some s -> s.sl_invalidate ~lut_id:lut
-                | None -> ());
-                match t.profile with
-                | Some pr -> pr.pr_invalidate ~lut
-                | None -> ()
+                drop_lut t ~lut
               end;
               match t.telem with
               | Some tl ->
@@ -616,7 +605,7 @@ let record_hit_fingerprint t ~lut ~key ~fp =
 
 (* One observed-error sample entering the monitor's window, from either
    source: a forced-miss shadow comparison ([monitor_compare]) or a decayed
-   L3 payload read ([probe_l3]). Closes the window and evaluates the trip
+   tier payload read ([probe_chain]). Closes the window and evaluates the trip
    rule exactly as before the decay source existed. *)
 let monitor_note t ~bad =
   let m = t.monitor in
@@ -641,14 +630,14 @@ let monitor_note t ~bad =
     m.window_bad <- 0
   end
 
-(* A decayed L3 payload is a quality observation the monitor gets for free:
+(* A decayed tier payload is a quality observation the monitor gets for free:
    the DRAM tier knows both the clean and the as-read bits, so the relative
    error is exact — no forced recompute needed. Enough decayed reads over
    the error threshold trip the unit exactly like bad shadow comparisons
    (ROADMAP item 3's leftover). Only runs when the tier actually decayed
    the read, i.e. an injector with the L3_payload site is attached — so
    fault-free runs are untouched, counters included. *)
-let note_l3_decay t ~lut ~clean ~read =
+let note_decay t ~lut ~clean ~read =
   if t.cfg.monitor && clean <> read then begin
     let kind =
       match Hashtbl.find_opt t.decls lut with
@@ -670,50 +659,50 @@ let note_l3_decay t ~lut ~clean ~read =
     monitor_note t ~bad
   end
 
-(* The SRAM tiers all missed: probe the DRAM tier (when attached). A hit
-   refills the inclusive SRAM hierarchy on the way up, exactly like an
-   L2 hit refills the L1; either way the probe's DRAM cost is latched for
-   the pipeline's latency charge. *)
-let probe_l3 t ~lut ~key =
-  match t.l3 with
-  | None ->
-      t.last_level <- Miss;
-      None
-  | Some p -> (
-      match p.t3_lookup ~lut_id:lut ~key with
-      | Some payload ->
-          t.last_l3_cycles <- p.t3_cycles ();
-          t.last_level <- Hit_l3;
-          (match p.t3_decay () with
-          | Some (clean, read) -> note_l3_decay t ~lut ~clean ~read
-          | None -> ());
-          Lut.insert t.l1 ~lut_id:lut ~key ~payload (l1_evict_hook t);
-          (match t.profile with
-          | Some pr -> pr.pr_insert ~lev:`L1 ~lut ~key ~fp:None
-          | None -> ());
-          (match t.l2 with
-          | Some l2 ->
-              Lut.insert l2 ~lut_id:lut ~key ~payload (l2_evict_hook t);
-              (match t.profile with
-              | Some pr -> pr.pr_insert ~lev:`L2 ~lut ~key ~fp:None
-              | None -> ())
-          | None -> (
-              match t.shared_l2 with
-              | Some s ->
-                  s.sl_insert ~lut_id:lut ~key ~payload;
-                  (match t.profile with
-                  | Some pr -> pr.pr_insert ~lev:`L2 ~lut ~key ~fp:None
-                  | None -> ())
-              | None -> ()));
-          Some payload
-      | None ->
-          t.last_l3_cycles <- p.t3_cycles ();
-          t.last_level <- Miss;
-          None)
+(* An inclusive refill after a hit at chain level [upto]: the L1 first,
+   then every SRAM level above the hit, top-down, each insert followed by
+   its profile event. *)
+let refill t ~lut ~key ~payload ~upto =
+  Lut.insert t.l1 ~lut_id:lut ~key ~payload t.l1_evict_opt;
+  (match t.profile with
+  | Some pr -> pr.pr_insert ~lev:`L1 ~lut ~key ~fp:None
+  | None -> ());
+  for i = 0 to upto - 1 do
+    let p = t.chain.(i) in
+    if sram_level p then begin
+      p.insert ~lut_id:lut ~key ~payload;
+      match t.profile with
+      | Some pr -> pr.pr_insert ~lev:`L2 ~lut ~key ~fp:None
+      | None -> ()
+    end
+  done
+
+(* The L1 missed: walk the chain from level [i]. Every probe's extra cycles
+   are latched for the pipeline's latency charge; the first hit reports its
+   level, feeds a decayed read to the quality monitor and refills the
+   levels above it. *)
+let rec probe_chain t ~lut ~key i =
+  if i = Array.length t.chain then begin
+    t.last_level <- Miss;
+    None
+  end
+  else
+    let p = t.chain.(i) in
+    let r = p.probe ~lut_id:lut ~key in
+    t.last_probe_cycles <- t.last_probe_cycles + p.cycles ();
+    match r with
+    | None -> probe_chain t ~lut ~key (i + 1)
+    | Some payload ->
+        t.last_level <- p.hit;
+        (match p.decay () with
+        | Some (clean, read) -> note_decay t ~lut ~clean ~read
+        | None -> ());
+        refill t ~lut ~key ~payload ~upto:i;
+        r
 
 let lookup ?(tid = 0) t ~lut =
   t.lookups <- t.lookups + 1;
-  t.last_l3_cycles <- 0;
+  t.last_probe_cycles <- 0;
   adapt_tick t;
   if t.monitor.tripped then begin
     t.last_level <- Miss;
@@ -747,33 +736,7 @@ let lookup ?(tid = 0) t ~lut =
       | Some payload ->
           t.last_level <- Hit_l1;
           Some payload
-      | None -> (
-          match t.l2 with
-          | None -> (
-              match t.shared_l2 with
-              | None -> probe_l3 t ~lut ~key
-              | Some s -> (
-                  match s.sl_lookup ~lut_id:lut ~key with
-                  | Some payload ->
-                      t.last_level <- Hit_l2;
-                      (* The shared level is inclusive too: fill the L1 LUT. *)
-                      Lut.insert t.l1 ~lut_id:lut ~key ~payload (l1_evict_hook t);
-                      (match t.profile with
-                      | Some pr -> pr.pr_insert ~lev:`L1 ~lut ~key ~fp:None
-                      | None -> ());
-                      Some payload
-                  | None -> probe_l3 t ~lut ~key))
-          | Some l2 -> (
-              match Lut.lookup l2 ~lut_id:lut ~key with
-              | Some payload ->
-                  t.last_level <- Hit_l2;
-                  (* Fill the L1 LUT on an L2 hit (inclusive hierarchy). *)
-                  Lut.insert t.l1 ~lut_id:lut ~key ~payload (l1_evict_hook t);
-                  (match t.profile with
-                  | Some pr -> pr.pr_insert ~lev:`L1 ~lut ~key ~fp:None
-                  | None -> ());
-                  Some payload
-              | None -> probe_l3 t ~lut ~key))
+      | None -> probe_chain t ~lut ~key 0
     in
     let result =
       match (t.adapt, result) with
@@ -879,19 +842,24 @@ let update ?(tid = 0) t ~lut payload =
     match Hashtbl.find_opt t.latched_key (lut, tid) with
     | None -> ()  (* update without a preceding lookup: drop, as hardware would *)
     | Some key ->
-        Lut.insert t.l1 ~lut_id:lut ~key ~payload (l1_evict_hook t);
-        (match t.l2 with
-        | Some l2 -> Lut.insert l2 ~lut_id:lut ~key ~payload (l2_evict_hook t)
-        | None -> (
-            match t.shared_l2 with
-            | Some s -> s.sl_insert ~lut_id:lut ~key ~payload
-            | None -> ()));
+        (* Every SRAM level is written, the L1 first; the profile events
+           follow all the inserts. A victim-fed tier is left to its spills. *)
+        Lut.insert t.l1 ~lut_id:lut ~key ~payload t.l1_evict_opt;
+        let written = ref 0 in
+        for i = 0 to Array.length t.chain - 1 do
+          let p = t.chain.(i) in
+          if sram_level p then begin
+            p.insert ~lut_id:lut ~key ~payload;
+            incr written
+          end
+        done;
         (match t.profile with
         | Some pr ->
             let fp = Hashtbl.find_opt t.latched_fp (lut, tid) in
             pr.pr_insert ~lev:`L1 ~lut ~key ~fp;
-            if Option.is_some t.l2 || Option.is_some t.shared_l2 then
+            for _ = 1 to !written do
               pr.pr_insert ~lev:`L2 ~lut ~key ~fp
+            done
         | None -> ());
         if t.cfg.collision_tracking then
           Option.iter
@@ -901,11 +869,7 @@ let update ?(tid = 0) t ~lut payload =
 
 let invalidate t ~lut =
   t.invalidations <- t.invalidations + 1;
-  Lut.invalidate_lut t.l1 ~lut_id:lut;
-  Option.iter (fun l2 -> Lut.invalidate_lut l2 ~lut_id:lut) t.l2;
-  (match t.shared_l2 with Some s -> s.sl_invalidate ~lut_id:lut | None -> ());
-  (match t.l3 with Some p -> p.t3_invalidate ~lut_id:lut | None -> ());
-  (match t.profile with Some pr -> pr.pr_invalidate ~lut | None -> ());
+  drop_lut t ~lut;
   Hashtbl.iter
     (fun (l, tid) _ -> if l = lut then Hashtbl.remove t.hvr (l, tid))
     (Hashtbl.copy t.hvr)
@@ -979,7 +943,7 @@ let flush_metrics t =
       Array.iter
         (fun n -> Registry.observe tl.l1_occ (float_of_int n))
         (Lut.set_occupancies t.l1);
-      (match (tl.l2_occ, t.l2) with
+      (match (tl.l2_occ, t.private_l2) with
       | Some h, Some l2 ->
           Array.iter (fun n -> Registry.observe h (float_of_int n)) (Lut.set_occupancies l2)
       | _ -> ());
@@ -1003,14 +967,13 @@ let flush_metrics t =
 
 let l1_ways t = Lut.ways t.l1
 let l1_lut t = t.l1
-let l2_lut t = t.l2
 
 let lut_entries t =
-  Lut.entries t.l1 @ (match t.l2 with Some l2 -> Lut.entries l2 | None -> [])
+  Lut.entries t.l1 @ (match t.private_l2 with Some l2 -> Lut.entries l2 | None -> [])
 
 let reset t =
   Lut.invalidate_all t.l1;
-  Option.iter Lut.invalidate_all t.l2;
+  Option.iter Lut.invalidate_all t.private_l2;
   Hashtbl.reset t.hvr;
   Hashtbl.reset t.latched_key;
   Hashtbl.reset t.latched_fp;
@@ -1035,7 +998,7 @@ let reset t =
       Hashtbl.reset a.samples
   | _ -> ());
   t.last_level <- Miss;
-  t.last_l3_cycles <- 0;
+  t.last_probe_cycles <- 0;
   t.sends <- 0;
   t.bytes_hashed <- 0;
   t.lookups <- 0;

@@ -1,9 +1,12 @@
 (** The per-core memoization unit (Section 3).
 
     Contains the hash value registers (one in-flight CRC per logical LUT;
-    single hardware thread — the paper evaluates one core), the L1 LUT, the
-    optional inclusive L2 LUT carved from last-level-cache ways, and the
-    quality-monitoring unit of Section 6.
+    single hardware thread — the paper evaluates one core), the L1 LUT and
+    the quality-monitoring unit of Section 6. Behind the L1 sits an ordered
+    chain of {!port}s: the optional inclusive L2 LUT carved from
+    last-level-cache ways ([config.l2_bytes]), then whatever levels the
+    caller supplies — a node-shared L2, its shard-routed cluster form, a
+    DRAM tier.
 
     The unit plugs into the interpreter through {!hooks} and reports the
     latency class of the most recent lookup so the CPU timing model can
@@ -71,7 +74,7 @@ type stats = {
   lookups : int;
   l1_hits : int;
   l2_hits : int;
-  l3_hits : int;  (** hits served by an attached DRAM tier ({!attach_l3}) *)
+  l3_hits : int;  (** hits served by a DRAM tier in the chain *)
   misses : int;  (** includes monitor-forced misses *)
   forced_misses : int;
   updates : int;
@@ -80,37 +83,37 @@ type stats = {
   monitor_comparisons : int;
 }
 
-type shared_l2 = {
-  sl_lookup : lut_id:int -> key:int64 -> int64 option;
-  sl_insert : lut_id:int -> key:int64 -> payload:int64 -> unit;
-  sl_invalidate : lut_id:int -> unit;
+type port = {
+  hit : level;
+  probe : lut_id:int -> key:int64 -> int64 option;
+  cycles : unit -> int;
+  decay : unit -> (int64 * int64) option;
+  insert : lut_id:int -> key:int64 -> payload:int64 -> unit;
+  invalidate : lut_id:int -> unit;
 }
-(** Externally owned next-level LUT, used when several cores share one
-    inclusive L2 LUT (the multi-core co-run model). The unit drives it
-    exactly like a private L2 — [sl_lookup] on an L1 miss (an inclusive hit
-    fills the L1), [sl_insert] on update, [sl_invalidate] on the
-    [invalidate] instruction and on adaptive-truncation changes — while the
-    caller owns storage, partitioning and arbitration. *)
+(** One level of the LUT hierarchy behind the L1, as the unit drives it.
+    Storage, partitioning, arbitration and routing all live behind the
+    closures, so this library depends on none of the layers that own them.
 
-type l3_port = {
-  t3_lookup : lut_id:int -> key:int64 -> int64 option;
-  t3_cycles : unit -> int;
-  t3_spill : lut_id:int -> key:int64 -> payload:int64 -> unit;
-  t3_invalidate : lut_id:int -> unit;
-  t3_decay : unit -> (int64 * int64) option;
-}
-(** Externally owned DRAM LUT tier ([Axmemo_tier.Dram_lut], typically
-    cluster-shared). Probed after the last SRAM level misses; a hit refills
-    the inclusive SRAM hierarchy. [t3_cycles] reads the DRAM cost of the
-    probe just issued (row-buffer dependent), [t3_spill] receives SRAM
-    victims, [t3_invalidate] drops a logical LUT. [t3_decay] reads the
-    (clean, as-read) payload pair when the probe just issued returned a
-    payload whose relaxed low bits had decayed ([None] on an exact read):
-    the unit feeds the exact relative error into the quality monitor's
-    observed-error window — and the profiler's per-region attribution —
-    without a forced recompute, so sustained payload decay can trip the
-    unit like any other quality failure. Another neutral closure record,
-    so this library does not depend on the tier layer. *)
+    - [hit]: the level a hit here reports — [Hit_l2] for an SRAM level,
+      [Hit_l3] for a DRAM tier.
+    - [probe]: look a key up. The unit probes the chain top-down after an
+      L1 miss; the first hit refills the L1 and then every SRAM level above
+      it (inclusive hierarchy).
+    - [cycles]: the extra lookup cycles of the probe just issued, summed
+      over the probed levels into {!last_probe_cycles} (row-buffer
+      dependent for a DRAM tier; [0] for an SRAM level, whose latency the
+      pipeline charges from the level).
+    - [decay]: the [(clean, as-read)] payload pair when the probe just
+      issued returned a payload whose relaxed low bits had decayed ([None]
+      on an exact read). The unit feeds the exact relative error into the
+      quality monitor's observed-error window — and the profiler's
+      per-region attribution — without a forced recompute.
+    - [insert]: write an entry. {!update} writes every SRAM level. A
+      [Hit_l3] tier is victim-fed: the unit never writes it, and [insert]
+      is the evict sink its owner feeds the victims of the level above.
+    - [invalidate]: drop a logical LUT — on the [invalidate] instruction and
+      on an adaptive-truncation change, at every level. *)
 
 type profile_hooks = {
   pr_lookup :
@@ -122,7 +125,7 @@ type profile_hooks = {
   pr_collision : lut:int -> unit;
 }
 (** Event port for the attribution profiler ([Axmemo_obs.Profile]). Like
-    {!shared_l2}, a neutral closure record so this library stays independent
+    {!port}, a neutral closure record so this library stays independent
     of the observability layer. The unit reports, per logical LUT:
 
     - [pr_lookup]: the final outcome of every lookup (after monitor and
@@ -131,12 +134,13 @@ type profile_hooks = {
       sampling, adaptive profiling windows, a tripped monitor) come with
       [forced:true]; a tripped unit reports [key:0L] since no hash is
       computed.
-    - [pr_insert] / [pr_evict]: residency changes per LUT level. Inclusive
-      L1 fills on an L2 hit pass [fp:None] (the entry's fingerprint is
-      unchanged); [pr_evict]'s [full] says whether the whole level was at
-      capacity when the victim was displaced, distinguishing capacity from
-      set-conflict evictions. The external shared level reports its own
-      evictions through the cluster, not here.
+    - [pr_insert] / [pr_evict]: residency changes per LUT level; every SRAM
+      level of the chain reports as [`L2]. Inclusive refills on a hit below
+      the L1 pass [fp:None] (the entry's fingerprint is unchanged);
+      [pr_evict]'s [full] says whether the whole level was at capacity when
+      the victim was displaced, distinguishing capacity from set-conflict
+      evictions. A caller-supplied level reports its own evictions through
+      its owner, not here.
     - [pr_invalidate]: the LUT was dropped at every level this core can
       see (the [invalidate] instruction, an adaptive-truncation change, or
       a cross-core broadcast received by {!invalidate_external}).
@@ -151,7 +155,7 @@ type t
 
 val create :
   ?metrics:Axmemo_telemetry.Registry.t ->
-  ?shared_l2:shared_l2 ->
+  ?levels:port list ->
   ?profile:profile_hooks ->
   config ->
   lut_decl list ->
@@ -161,12 +165,21 @@ val create :
     [memo.*]) and records live events — per-send truncation levels, LUT
     evictions/spills, adaptive and monitor window outcomes — as it runs.
     Telemetry is purely observational: results are bit-identical with or
-    without it. With [?shared_l2], L1 misses fall through to the given
-    external level instead of a private L2. With [?profile], the unit
-    feeds the attribution profiler's event port ({!profile_hooks}); absent,
-    the hot path pays one pattern match per site and allocates nothing.
-    @raise Invalid_argument on duplicate or out-of-range (0..7) LUT ids, or
-    if both [config.l2_bytes] and [?shared_l2] are set. *)
+    without it; [memo.l3.hits] is registered only when [?levels] holds a
+    [Hit_l3] tier. [?levels] (default none) follow the private L2, when
+    [config.l2_bytes] configures one, in the chain behind the L1. With
+    [?profile], the unit feeds the attribution profiler's event port
+    ({!profile_hooks}); absent, the hot path pays one pattern match per site
+    and allocates nothing.
+    @raise Invalid_argument on duplicate or out-of-range (0..7) LUT ids. *)
+
+val set_levels : t -> port list -> unit
+(** Replace the caller-supplied levels behind the L1 with ports of the same
+    kinds in the same order — how a cluster installs its shard routing in
+    front of a node-local level once the cluster exists. The private L2
+    stays first.
+    @raise Invalid_argument if the list differs in length or in any
+    level's [hit]. *)
 
 val hooks : ?tid:int -> t -> Axmemo_ir.Interp.memo_hooks
 (** Adapter for {!Axmemo_ir.Interp.create}, bound to one hardware thread
@@ -202,21 +215,14 @@ val l1_invalidate_entry : t -> lut:int -> key:int64 -> bool
 (** Drop one [(lut, key)] entry from the private L1 if present (a cluster
     directory invalidating a stale replica); [true] if dropped. *)
 
-val attach_l3 : t -> l3_port -> unit
-(** Attach the DRAM tier. Extends the last {e private} SRAM level's evict
-    hook with [t3_spill] (a unit backed by a cluster-shared L2 spills at the
-    cluster layer instead), and registers the [memo.l3.hits] counter when a
-    registry is attached — so an L3-less unit's metrics snapshot and
-    behaviour stay byte-identical to a build without this tier.
-    @raise Invalid_argument if a tier is already attached. *)
-
 val last_lookup_level : t -> level
 (** Latency class of the most recent lookup ([Miss] before any lookup). *)
 
-val last_l3_cycles : t -> int
-(** DRAM cycles charged by the most recent lookup's L3 probe — 0 when no
-    probe was issued (L1/L2 hit, no tier attached, or tripped monitor). The
-    pipeline adds this to its lookup latency. *)
+val last_probe_cycles : t -> int
+(** The extra cycles the most recent lookup's chain probes charged (the sum
+    of their [cycles]) — 0 when only SRAM levels were probed (an L1 or L2
+    hit, no tier in the chain, or a tripped monitor). The pipeline adds this
+    to its lookup latency. *)
 
 val disabled : t -> bool
 (** True once the quality monitor has shut memoization off. *)
@@ -248,15 +254,13 @@ val l1_ways : t -> int
 val l1_lut : t -> Lut.t
 (** The private L1 LUT — the snapshot layer's capture/restore handle. *)
 
-val l2_lut : t -> Lut.t option
-(** The private L2 LUT, when configured. *)
-
 val extra_truncation : t -> lut_id:int -> int
 (** Current adaptive extra-truncation level for one LUT (0 when the unit is
     not adaptive or has not raised it yet). *)
 
 val lut_entries : t -> (int * int64 * int64) list
-(** Valid [(lut_id, key, payload)] entries across both LUT levels (L1 first);
+(** Valid [(lut_id, key, payload)] entries of the L1 and the private L2 (L1
+    first);
     measurement aid for the multi-core no-coherence check. *)
 
 val flush_metrics : t -> unit

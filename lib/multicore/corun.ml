@@ -119,6 +119,7 @@ type core = {
   unit_ : Memo_unit.t;
   hierarchy : Hierarchy.t;
   metrics : Registry.t option;
+  local : Memo_unit.port;  (* the node-local shared level, as this core sees it *)
 }
 
 type cluster = {
@@ -126,20 +127,18 @@ type cluster = {
   mix : mix_entry list;
   shared : Shared_lut.t;
   l3 : Dram_lut.t option;  (* DRAM tier absorbing shared-level spills *)
+  tier : Memo_unit.port option;  (* [l3]'s level, shared by every core's chain *)
   arbiter : Arbiter.t;
   cores : core array;
   cluster_metrics : Registry.t option;
   injector : Injector.t option;
   active : core_timing ref;
   profiles : Profile.t array option;  (* one collector per core *)
-  on_invalidate : (core:int -> lut:int -> at:int -> unit) option;
-      (* cross-node directory hook, fired after the local broadcast *)
+  mutable on_invalidate : (core:int -> lut:int -> at:int -> unit) option;
+      (* cross-node directory hook ([route]), fired after the local broadcast *)
   inv_counters : (string, Registry.counter) Hashtbl.t;
       (* lazily-created corun.invalidate.* family (see [memo_hooks]) *)
 }
-
-type l2_port_maker =
-  core:int -> now:(unit -> int) -> local:Memo_unit.shared_l2 -> Memo_unit.shared_l2
 
 (* Every core serves the whole mix's LUT namespace, so every collector is
    declared over the same remapped region list — which is what lets the
@@ -150,7 +149,9 @@ let mix_regions mix =
       List.map (fun (r : Transform.region) -> (r.Transform.kernel, r.Transform.lut_id)) e.regions)
     mix
 
-let create_cluster ?(metrics = false) ?(profile = false) ?l2_port ?on_invalidate cfg =
+let now timing () = timing.base + timing.clock ()
+
+let create_cluster ?(metrics = false) ?(profile = false) cfg =
   if cfg.ncores < 1 then invalid_arg "Corun: need at least one core";
   let mix = resolve_mix cfg in
   (* The union of every workload's (renumbered) LUT declarations — what each
@@ -174,22 +175,36 @@ let create_cluster ?(metrics = false) ?(profile = false) ?l2_port ?on_invalidate
   let arbiter =
     Arbiter.create ~banks:cfg.banks ~ports:cfg.ports ~window:Timing.lookup_l2_cycles ()
   in
-  (* A shared-level eviction drops the key for every core at once, so the
-     residency event is broadcast to each collector. *)
-  (match profiles with
-  | Some ps ->
-      Shared_lut.set_evict_observer shared (fun ~lut_id ~key ~full ->
-          Array.iter (fun p -> Profile.shared_evict p ~lut:lut_id ~key ~full) ps)
-  | None -> ());
-  (* The DRAM tier sits behind the shared level: its only fill path is the
-     shared LUT's victim stream (an exclusive-ish spill chain), installed on
-     top of the telemetry/profiler eviction hooks. *)
+  (* The DRAM tier sits behind the shared level. It is victim-fed: its
+     only fill path is the shared LUT's victim stream, so its level's
+     [insert] is the shared level's evict sink. *)
   let l3 = Option.map (fun c -> Dram_lut.create ?metrics:cluster_metrics ?injector c) cfg.l3 in
-  (match l3 with
-  | Some d ->
-      Shared_lut.set_spill shared (fun ~lut_id ~key ~payload ->
-          Dram_lut.insert d ~lut_id ~key ~payload)
-  | None -> ());
+  let tier =
+    Option.map
+      (fun d ->
+        {
+          Memo_unit.hit = Memo_unit.Hit_l3;
+          probe = (fun ~lut_id ~key -> Dram_lut.lookup d ~lut_id ~key);
+          cycles = (fun () -> Dram_lut.last_probe_cycles d);
+          decay = (fun () -> Dram_lut.last_decay d);
+          insert = (fun ~lut_id ~key ~payload -> Dram_lut.insert d ~lut_id ~key ~payload);
+          invalidate = (fun ~lut_id -> Dram_lut.invalidate_lut d ~lut_id);
+        })
+      l3
+  in
+  (* A shared-level eviction drops the key for every core at once, so the
+     residency event is broadcast to each collector before the victim
+     spills into the tier. *)
+  (match (profiles, tier) with
+  | None, None -> ()
+  | _ ->
+      Shared_lut.set_evict_observer shared (fun ~lut_id ~key ~payload ~full ->
+          (match profiles with
+          | Some ps -> Array.iter (fun p -> Profile.shared_evict p ~lut:lut_id ~key ~full) ps
+          | None -> ());
+          match tier with
+          | Some p -> p.Memo_unit.insert ~lut_id ~key ~payload
+          | None -> ()));
   let active = ref { base = 0; clock = (fun () -> 0) } in
   (* Per-cycle fault bases integrate over the clock of whichever core is
      currently executing (requests run one at a time). *)
@@ -201,82 +216,69 @@ let create_cluster ?(metrics = false) ?(profile = false) ?l2_port ?on_invalidate
   | None -> ());
   let mk_core id =
     let timing = { base = 0; clock = (fun () -> 0) } in
-    let shared_l2 =
+    let local =
       {
-        Memo_unit.sl_lookup =
+        Memo_unit.hit = Memo_unit.Hit_l2;
+        probe =
           (fun ~lut_id ~key ->
             Arbiter.record ~tag:lut_id arbiter ~core:id
               ~set:(Shared_lut.set_of_key shared key)
-              ~at:(timing.base + timing.clock ());
+              ~at:(now timing ());
             Shared_lut.lookup shared ~core:id ~lut_id ~key);
-        sl_insert =
+        cycles = (fun () -> 0);
+        decay = (fun () -> None);
+        insert =
           (fun ~lut_id ~key ~payload ->
             Arbiter.record ~tag:lut_id arbiter ~core:id
               ~set:(Shared_lut.set_of_key shared key)
-              ~at:(timing.base + timing.clock ());
+              ~at:(now timing ());
             Shared_lut.insert shared ~core:id ~lut_id ~key ~payload);
-        sl_invalidate = (fun ~lut_id -> Shared_lut.invalidate_lut shared ~lut_id);
+        invalidate = (fun ~lut_id -> Shared_lut.invalidate_lut shared ~lut_id);
       }
-    in
-    (* The cluster layer interposes shard routing here: probes and inserts
-       whose key homes on another node are redirected over the modeled
-       interconnect, everything else falls through to [local]. Absent, the
-       unit talks to the node-local shared level exactly as before. *)
-    let shared_l2 =
-      match l2_port with
-      | None -> shared_l2
-      | Some make ->
-          make ~core:id
-            ~now:(fun () -> timing.base + timing.clock ())
-            ~local:shared_l2
     in
     let core_metrics = if metrics then Some (Registry.create ()) else None in
     let unit_ =
       Memo_unit.create ?metrics:core_metrics
         ?profile:(Option.map (fun ps -> Profile.memo_hooks ps.(id)) profiles)
-        ~shared_l2
+        ~levels:(local :: Option.to_list tier)
         { Memo_unit.default_config with l1_bytes = cfg.l1_bytes }
         decls
     in
     let hierarchy =
       Hierarchy.create (Hierarchy.carve_l2 Hierarchy.hpi_default ~lut_bytes:cfg.shared_l2_bytes)
     in
-    { id; timing; unit_; hierarchy; metrics = core_metrics }
+    { id; timing; unit_; hierarchy; metrics = core_metrics; local }
   in
   let cores = Array.init cfg.ncores mk_core in
-  (* Each unit probes the same DRAM tier on an SRAM miss; the port closures
-     close over the cluster's single [Dram_lut.t], so the refill/invalidate
-     traffic of every core lands in one structure. *)
-  (match l3 with
-  | Some d ->
-      Array.iter
-        (fun c ->
-          Memo_unit.attach_l3 c.unit_
-            {
-              Memo_unit.t3_lookup =
-                (fun ~lut_id ~key -> Dram_lut.lookup d ~lut_id ~key);
-              t3_cycles = (fun () -> Dram_lut.last_probe_cycles d);
-              t3_spill =
-                (fun ~lut_id ~key ~payload -> Dram_lut.insert d ~lut_id ~key ~payload);
-              t3_invalidate = (fun ~lut_id -> Dram_lut.invalidate_lut d ~lut_id);
-              t3_decay = (fun () -> Dram_lut.last_decay d);
-            })
-        cores
-  | None -> ());
   {
     cfg;
     mix;
     shared;
     l3;
+    tier;
     arbiter;
     cores;
     cluster_metrics;
     injector;
     active;
     profiles;
-    on_invalidate;
+    on_invalidate = None;
     inv_counters = Hashtbl.create 8;
   }
+
+(* The sharded-cluster layer interposes here, once the node exists: every
+   core's shared level is replaced by [level]'s routed form of it (traffic
+   whose key homes elsewhere crosses the interconnect, everything else
+   falls through to [local]), and [on_invalidate] follows each local
+   invalidate broadcast. Unrouted, the units talk to the node-local level. *)
+let route cluster ~level ~on_invalidate =
+  Array.iter
+    (fun c ->
+      Memo_unit.set_levels c.unit_
+        (level ~core:c.id ~now:(now c.timing) ~local:c.local
+        :: Option.to_list cluster.tier))
+    cluster.cores;
+  cluster.on_invalidate <- Some on_invalidate
 
 let core_unit cluster ~core = cluster.cores.(core).unit_
 let shared_lut cluster = cluster.shared
@@ -344,9 +346,7 @@ let memo_hooks cluster ~core =
             end)
           cluster.cores;
         match cluster.on_invalidate with
-        | Some f ->
-            let t = cluster.cores.(core).timing in
-            f ~core ~lut ~at:(t.base + t.clock ())
+        | Some f -> f ~core ~lut ~at:(now cluster.cores.(core).timing ())
         | None -> ());
   }
 

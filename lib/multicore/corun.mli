@@ -4,7 +4,10 @@
     registers and L1 LUT (all reused from the single-core model); every
     core's L2-level memoization traffic goes to one {!Shared_lut} carved
     from the shared LLC, with bank/port contention charged by an
-    {!Arbiter}. This module is the node and what it does per request; the
+    {!Arbiter}. Each core's memo unit reaches the shared level, and the
+    optional DRAM tier behind it, as the ports of its level chain
+    ({!Axmemo_memo.Memo_unit.port}); the tier is fed by the shared level's
+    victims. This module is the node and what it does per request; the
     closed request stream that keeps the LUTs warm across requests (the
     co-run throughput of the paper's Section 6) is driven by
     [Axmemo_cluster.Cluster.run], whose [nodes = 1] case is the co-run, and
@@ -57,21 +60,7 @@ val label : config -> string
 
 type cluster
 
-type l2_port_maker =
-  core:int -> now:(unit -> int) -> local:Axmemo_memo.Memo_unit.shared_l2 ->
-  Axmemo_memo.Memo_unit.shared_l2
-(** How a multi-node layer interposes on a core's shared-L2 traffic: called
-    once per core at cluster creation with the core id, the core's absolute
-    cycle clock, and the node-local port (which already records bank
-    arbitration); the returned port is what the unit talks to. *)
-
-val create_cluster :
-  ?metrics:bool ->
-  ?profile:bool ->
-  ?l2_port:l2_port_maker ->
-  ?on_invalidate:(core:int -> lut:int -> at:int -> unit) ->
-  config ->
-  cluster
+val create_cluster : ?metrics:bool -> ?profile:bool -> config -> cluster
 (** Builds the cores, the shared LUT and the arbiter. Every workload's
     logical LUT ids are renumbered onto a disjoint range (mix order), so a
     mixed stream never aliases; single-workload mixes keep their original
@@ -79,14 +68,26 @@ val create_cluster :
     plus a cluster registry (the shared LUT's). [profile] attaches one
     {!Axmemo_obs.Profile} collector per core over the mix's remapped
     regions, with shared-LUT evictions broadcast to every collector.
-    [?l2_port] lets the sharded-cluster layer redirect shared-level traffic
-    (absent, units talk to the node-local level exactly as before);
-    [?on_invalidate] fires after each local invalidate broadcast — with the
-    issuing core, the LUT id, and the absolute issue cycle — so a directory
-    can issue cross-node invalidations. Neither default changes any
-    behaviour.
     @raise Invalid_argument on an unknown benchmark, an empty mix, fewer
     than one core, or a mix needing more than 8 logical LUTs. *)
+
+val route :
+  cluster ->
+  level:
+    (core:int ->
+    now:(unit -> int) ->
+    local:Axmemo_memo.Memo_unit.port ->
+    Axmemo_memo.Memo_unit.port) ->
+  on_invalidate:(core:int -> lut:int -> at:int -> unit) ->
+  unit
+(** How a multi-node layer interposes, once the node exists and before any
+    request runs. [level] is called once per core with the core id, the
+    core's absolute cycle clock and the node-local shared level (which
+    already records bank arbitration); the port it returns replaces that
+    level in the core's chain. [on_invalidate] fires after each local
+    invalidate broadcast — with the issuing core, the LUT id and the
+    absolute issue cycle — so a directory can issue cross-node
+    invalidations. An unrouted node talks to its own shared level. *)
 
 val memo_hooks : cluster -> core:int -> Axmemo_ir.Interp.memo_hooks
 (** The core's own hooks with [invalidate] wrapped to broadcast: the

@@ -110,28 +110,18 @@ let create ?metrics ?faults ?(payload_bytes = 8) ?(policy = Lut.Lru) ~ncores ~si
     telem;
   }
 
-(* The profiler's residency feed. The combined hook replaces [evict_opt]
-   wholesale, so the telemetry counter keeps firing and the hot path still
-   pays a single option match per eviction. [full] is computed while the
-   victim is still counted, mirroring the private levels' convention. *)
+(* The victim feed (the profiler's residency events, the DRAM tier's
+   spills). The combined hook replaces [evict_opt] wholesale, so the
+   telemetry counter keeps firing and the hot path still pays a single
+   option match per eviction. [full] is computed while the victim is still
+   counted, mirroring the private levels' convention. *)
 let set_evict_observer t f =
   let base = t.evict_opt in
   t.evict_opt <-
     Some
       (fun ~lut_id ~key ~payload ->
         (match base with Some g -> g ~lut_id ~key ~payload | None -> ());
-        f ~lut_id ~key ~full:(Lut.occupancy t.lut = Lut.capacity_entries t.lut))
-
-(* The DRAM tier's spill feed. Same wholesale-replacement discipline as
-   [set_evict_observer]: the previous hook (telemetry, profiler) keeps
-   firing, and the victim's payload rides along so the L3 can absorb it. *)
-let set_spill t f =
-  let base = t.evict_opt in
-  t.evict_opt <-
-    Some
-      (fun ~lut_id ~key ~payload ->
-        (match base with Some g -> g ~lut_id ~key ~payload | None -> ());
-        f ~lut_id ~key ~payload)
+        f ~lut_id ~key ~payload ~full:(Lut.occupancy t.lut = Lut.capacity_entries t.lut))
 
 let lut t = t.lut
 let way_range t ~core = t.ranges.(core)

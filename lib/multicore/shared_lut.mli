@@ -18,7 +18,9 @@
       index), so the policy is a pure function of the observed stream.
 
     All bookkeeping is deterministic; the structure carries no clock of its
-    own. Bank/port timing lives in {!Arbiter}. *)
+    own. Bank/port timing lives in {!Arbiter}. Each core's memo unit drives
+    the structure through one [Axmemo_memo.Memo_unit.port] in its chain,
+    and its victims leave through {!set_evict_observer}. *)
 
 type partition = Free_for_all | Static | Utility of { period : int }
 
@@ -69,18 +71,12 @@ val holds_lut : t -> lut_id:int -> bool
 (** Whether the shared level holds any entry of [lut_id]. *)
 
 val set_evict_observer :
-  t -> (lut_id:int -> key:int64 -> full:bool -> unit) -> unit
-(** Install an eviction observer (the attribution profiler's residency
-    feed) on top of the telemetry hook. [full] is whether the LUT was at
-    entry capacity when the victim was displaced — capacity vs. set
+  t -> (lut_id:int -> key:int64 -> payload:int64 -> full:bool -> unit) -> unit
+(** Install the victim feed on top of the telemetry hook: every displaced
+    entry, with its payload — the attribution profiler's residency events
+    and the DRAM tier's spills both ride it. [full] is whether the LUT was
+    at entry capacity when the victim was displaced — capacity vs. set
     conflict, measured while the victim is still counted. Call at most
-    once, before the first insert. *)
-
-val set_spill :
-  t -> (lut_id:int -> key:int64 -> payload:int64 -> unit) -> unit
-(** Install a payload-carrying spill hook on top of whatever eviction hook
-    is already installed (telemetry and/or the profiler's observer) — the
-    DRAM L3 tier absorbs shared-level victims through it. Call at most
     once, before the first insert. *)
 
 val lut : t -> Axmemo_memo.Lut.t

@@ -87,7 +87,7 @@ val last_decay : t -> (int64 * int64) option
     whose relaxed low bits had decayed; [None] on exact reads and misses.
     Read it immediately after {!lookup}, like {!last_probe_cycles} — the
     next probe resets it. Feeds the quality monitor's observed-error
-    window via the memo unit's [t3_decay] port hook. *)
+    window via the [decay] field of its memo-unit level port. *)
 
 val bulk_lookup : t -> (int * int64) array -> int64 option array * int
 (** [bulk_lookup t pairs] probes every [(lut_id, key)] pair, visiting them

@@ -130,39 +130,48 @@ let push_entry t e =
 
 let define t r id = Hashtbl.replace (current t).vals r id
 
-let record t fname bidx iidx (instr : Ir.instr) addr =
-  if t.full then ()
-  else begin
-    let sid = static_id t fname bidx iidx in
-    let weight = weight_of_instr t.machine instr in
-    let src_ids =
-      List.filter_map (fun o -> producer_of_operand t o)
-        (List.map (fun r -> Ir.Reg r) (Ir.instr_srcs instr))
-    in
-    let srcs, is_load, is_store =
-      match instr with
-      | Load _ | Memo (Ld_crc _) ->
-          let mem_src =
-            match Hashtbl.find_opt t.mem_writer addr with
-            | Some id -> id
-            | None ->
-                let e = fresh_ext t in
-                Hashtbl.replace t.mem_writer addr e;
-                e
-          in
-          (Array.of_list (mem_src :: src_ids), true, false)
-      | Store _ -> (Array.of_list src_ids, false, true)
-      | _ -> (Array.of_list src_ids, false, false)
-    in
-    let id = t.count in
-    push_entry t { static_id = sid; weight; srcs; is_load; is_store };
+let mem_producer t addr =
+  match Hashtbl.find_opt t.mem_writer addr with
+  | Some id -> id
+  | None ->
+      let e = fresh_ext t in
+      Hashtbl.replace t.mem_writer addr e;
+      e
+
+(* One vertex per execution. Everything static about the instruction (its
+   weight, source and destination registers, memory role) is resolved when
+   the site is compiled; its static id is assigned on first execution, so
+   ids still number static instructions in first-execution order. *)
+let record_site t fname bidx iidx (instr : Ir.instr) =
+  let weight = weight_of_instr t.machine instr in
+  let regs = Array.of_list (Ir.instr_srcs instr) in
+  let dsts = Array.of_list (Ir.instr_dst instr) in
+  let is_load, is_store =
+    match instr with
+    | Load _ | Memo (Ld_crc _) -> (true, false)
+    | Store _ -> (false, true)
+    | _ -> (false, false)
+  in
+  (* a load's memory producer leads its source list *)
+  let off = if is_load then 1 else 0 in
+  let sid = ref (-1) in
+  fun addr ->
     if not t.full then begin
-      (match instr with
-      | Store _ -> Hashtbl.replace t.mem_writer addr id
-      | _ -> ());
-      List.iter (fun r -> define t r id) (Ir.instr_dst instr)
+      if !sid < 0 then sid := static_id t fname bidx iidx;
+      let srcs = Array.make (off + Array.length regs) 0 in
+      for i = 0 to Array.length regs - 1 do
+        srcs.(off + i) <- producer_of_reg t regs.(i)
+      done;
+      if is_load then srcs.(0) <- mem_producer t addr;
+      let id = t.count in
+      push_entry t { static_id = !sid; weight; srcs; is_load; is_store };
+      if not t.full then begin
+        if is_store then Hashtbl.replace t.mem_writer addr id;
+        for i = 0 to Array.length dsts - 1 do
+          define t dsts.(i) id
+        done
+      end
     end
-  end
 
 let on_enter t fname =
   let params =
@@ -211,7 +220,7 @@ let exec_site t fname bidx iidx (instr : Ir.instr) =
               match producer_of_operand t o with Some id -> id | None -> fresh_ext t)
             args;
         t.pending_dsts <- Some dsts
-  | _ -> fun addr -> record t fname bidx iidx instr addr
+  | _ -> record_site t fname bidx iidx instr
 
 let term_site t _fname _bidx (term : Ir.terminator) =
   match term with

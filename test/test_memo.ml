@@ -387,6 +387,130 @@ let test_adaptive_reset () =
   MU.reset u;
   Alcotest.(check int) "delta cleared" 0 (MU.extra_truncation u ~lut_id:0)
 
+(* --- level chain --- *)
+
+(* A fake level behind the L1 that logs every call it receives into [log]
+   (newest first); its [store] decides what a probe finds. *)
+let fake_level log ~name ~hit ~cycles =
+  let store : (int * int64, int64) Hashtbl.t = Hashtbl.create 8 in
+  let note s = log := (name ^ "." ^ s) :: !log in
+  ( store,
+    {
+      MU.hit;
+      probe =
+        (fun ~lut_id ~key ->
+          note "probe";
+          Hashtbl.find_opt store (lut_id, key));
+      cycles = (fun () -> cycles);
+      decay = (fun () -> None);
+      insert =
+        (fun ~lut_id ~key ~payload ->
+          note "insert";
+          Hashtbl.replace store (lut_id, key) payload);
+      invalidate =
+        (fun ~lut_id ->
+          note "invalidate";
+          Hashtbl.filter_map_inplace
+            (fun (l, _) v -> if l = lut_id then None else Some v)
+            store);
+    } )
+
+(* A unit whose chain is a recording SRAM level and a recording victim-fed
+   tier; the profiler's insert events land in the same log, so refill order
+   is visible across the L1 and the fakes. *)
+let chain_unit ?adaptive () =
+  let log = ref [] in
+  let sram_store, sram = fake_level log ~name:"sram" ~hit:MU.Hit_l2 ~cycles:0 in
+  let tier_store, tier = fake_level log ~name:"tier" ~hit:MU.Hit_l3 ~cycles:37 in
+  let profile =
+    {
+      MU.pr_lookup = (fun ~lut:_ ~key:_ ~fp:_ ~level:_ ~forced:_ -> ());
+      pr_insert =
+        (fun ~lev ~lut:_ ~key:_ ~fp:_ ->
+          log := (match lev with `L1 -> "pr.L1" | `L2 -> "pr.L2") :: !log);
+      pr_evict = (fun ~lev:_ ~lut:_ ~key:_ ~full:_ -> ());
+      pr_invalidate = (fun ~lut:_ -> ());
+      pr_error = (fun ~lut:_ ~err:_ -> ());
+      pr_collision = (fun ~lut:_ -> ());
+    }
+  in
+  let u =
+    MU.create ~levels:[ sram; tier ] ~profile
+      { MU.default_config with monitor = false; adaptive }
+      [ { MU.lut_id = 0; payload = Payload.Pf32 } ]
+  in
+  let take () =
+    let l = List.rev !log in
+    log := [];
+    l
+  in
+  (u, sram_store, tier_store, take)
+
+let strings = Alcotest.(list string)
+
+let test_chain_tier_hit_refills () =
+  let u, sram_store, tier_store, take = chain_unit () in
+  send u ~lut:0 1.5;
+  ignore (MU.lookup u ~lut:0);
+  MU.update u ~lut:0 42L;
+  ignore (take ());
+  (* Move the entry down to the tier only. *)
+  let key =
+    match List.of_seq (Hashtbl.to_seq_keys sram_store) with
+    | [ (_, k) ] -> k
+    | _ -> Alcotest.fail "expected one SRAM entry"
+  in
+  Hashtbl.reset sram_store;
+  Hashtbl.replace tier_store (0, key) 42L;
+  Alcotest.(check bool) "L1 entry dropped" true (MU.l1_invalidate_entry u ~lut:0 ~key);
+  send u ~lut:0 1.5;
+  Alcotest.(check (option int64)) "tier hit" (Some 42L) (MU.lookup u ~lut:0);
+  Alcotest.(check bool) "reported as Hit_l3" true (MU.last_lookup_level u = MU.Hit_l3);
+  Alcotest.(check int) "tier cycles charged" 37 (MU.last_probe_cycles u);
+  Alcotest.(check strings) "probe top-down, refill L1 then the SRAM level"
+    [ "sram.probe"; "tier.probe"; "pr.L1"; "sram.insert"; "pr.L2" ]
+    (take ());
+  send u ~lut:0 1.5;
+  Alcotest.(check (option int64)) "refilled L1 hits" (Some 42L) (MU.lookup u ~lut:0);
+  Alcotest.(check bool) "at L1" true (MU.last_lookup_level u = MU.Hit_l1);
+  Alcotest.(check int) "no probe cycles" 0 (MU.last_probe_cycles u);
+  Alcotest.(check strings) "chain untouched" [] (take ());
+  Alcotest.(check int) "one L3 hit counted" 1 (MU.stats u).MU.l3_hits
+
+let test_chain_update_skips_tier () =
+  let u, sram_store, tier_store, take = chain_unit () in
+  send u ~lut:0 2.5;
+  Alcotest.(check (option int64)) "cold miss" None (MU.lookup u ~lut:0);
+  Alcotest.(check int) "missed probes still charged" 37 (MU.last_probe_cycles u);
+  Alcotest.(check strings) "every level probed" [ "sram.probe"; "tier.probe" ] (take ());
+  MU.update u ~lut:0 7L;
+  Alcotest.(check strings) "inserts first, then the profile events"
+    [ "sram.insert"; "pr.L1"; "pr.L2" ] (take ());
+  Alcotest.(check int) "SRAM level written" 1 (Hashtbl.length sram_store);
+  Alcotest.(check int) "tier left to its spills" 0 (Hashtbl.length tier_store);
+  send u ~lut:0 2.5;
+  Alcotest.(check (option int64)) "L1 written" (Some 7L) (MU.lookup u ~lut:0);
+  Alcotest.(check bool) "at L1" true (MU.last_lookup_level u = MU.Hit_l1)
+
+let test_chain_invalidate_reaches_every_level () =
+  let u, _, _, take = chain_unit () in
+  MU.invalidate u ~lut:0;
+  Alcotest.(check strings) "invalidate instruction" [ "sram.invalidate"; "tier.invalidate" ]
+    (take ());
+  (* Distinct inputs never hit, so the first adaptive window raises the
+     extra truncation, which must drop the LUT at every level too. *)
+  let u, _, _, take = chain_unit ~adaptive:adaptive_cfg () in
+  let k = ref 0 in
+  while MU.extra_truncation u ~lut_id:0 = 0 && !k < 1000 do
+    send u ~lut:0 (float_of_int !k);
+    ignore (MU.lookup u ~lut:0);
+    incr k
+  done;
+  Alcotest.(check bool) "truncation changed" true (MU.extra_truncation u ~lut_id:0 > 0);
+  let drops = List.filter (fun e -> String.ends_with ~suffix:".invalidate" e) (take ()) in
+  Alcotest.(check strings) "adaptive drop" [ "sram.invalidate"; "tier.invalidate" ] drops;
+  Alcotest.(check int) "not an invalidate instruction" 0 (MU.stats u).MU.invalidations
+
 (* --- rounding mode --- *)
 
 let test_nearest_rounding_merges_across_boundary () =
@@ -652,6 +776,13 @@ let () =
           Alcotest.test_case "raises truncation" `Quick test_adaptive_raises_truncation;
           Alcotest.test_case "backs off on errors" `Quick test_adaptive_backs_off_on_errors;
           Alcotest.test_case "reset" `Quick test_adaptive_reset;
+        ] );
+      ( "level chain",
+        [
+          Alcotest.test_case "tier hit refills top-down" `Quick test_chain_tier_hit_refills;
+          Alcotest.test_case "update skips the tier" `Quick test_chain_update_skips_tier;
+          Alcotest.test_case "invalidate and adaptive drop reach every level" `Quick
+            test_chain_invalidate_reaches_every_level;
         ] );
       ("properties", qsuite);
     ]

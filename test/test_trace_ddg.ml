@@ -180,6 +180,52 @@ let prop_candidate_is_closed =
             c.vertices)
         a.unique)
 
+(* Every workload's Sample-input trace, pinned as the MD5 of its entries:
+   static ids, weights, producer ids and memory flags must not move when
+   the tracer's per-site work is restructured. *)
+module WReg = Axmemo_workloads.Registry
+module Workload = Axmemo_workloads.Workload
+
+let entries_digest (entries : Trace.entry array) =
+  let b = Buffer.create (64 * Array.length entries) in
+  Array.iter
+    (fun (e : Trace.entry) ->
+      Printf.bprintf b "%d %d %b %b [" e.static_id e.weight e.is_load e.is_store;
+      Array.iter (fun s -> Printf.bprintf b "%d," s) e.srcs;
+      Buffer.add_string b "]\n")
+    entries;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let trace_golden =
+  [
+    ("blackscholes", "e77ced9880403b893efef4d1a390e33a");
+    ("fft", "318be92542cf1181af98aca6edcbf9c6");
+    ("inversek2j", "1e1c4dea8e8ec69b9b5898b2dbd46406");
+    ("jmeint", "e129fe7c54a7a68c6c85f2fa77bf8b82");
+    ("jpeg", "510108f0b591bbe5268658d8fefd737b");
+    ("kmeans", "3b74b644343533ed7d1628d1162d875c");
+    ("sobel", "29d1cf4cef6eda5f51fb046834f302ae");
+    ("hotspot", "0e0044702c077047f05aa68e4c1205c8");
+    ("lavamd", "d549e4339c4cb2f733673b9b71d032bd");
+    ("srad", "772229c80d3755058f3442608c2b7a50");
+  ]
+
+let test_trace_golden () =
+  List.iter
+    (fun name ->
+      let make = match WReg.find name with Some (_, m) -> m | None -> assert false in
+      let (inst : Workload.instance) = make Workload.Sample in
+      let trace = Trace.create ~machine:Machine.hpi ~program:inst.program () in
+      let interp =
+        Interp.create ~hooks:(Trace.hooks trace) ~program:inst.program ~mem:inst.mem ()
+      in
+      ignore (Interp.run interp inst.entry inst.args);
+      let got = entries_digest (Trace.entries trace) in
+      match List.assoc_opt name trace_golden with
+      | Some want -> Alcotest.(check string) (name ^ " trace digest") want got
+      | None -> Alcotest.failf "%s: no golden trace digest" name)
+    WReg.names
+
 let () =
   Alcotest.run "trace_ddg"
     [
@@ -191,6 +237,7 @@ let () =
           Alcotest.test_case "load-store dep" `Quick test_trace_load_store_dependency;
           Alcotest.test_case "cross-call renaming" `Quick test_trace_cross_call_renaming;
           Alcotest.test_case "truncation" `Quick test_trace_truncation;
+          Alcotest.test_case "workload golden" `Slow test_trace_golden;
         ] );
       ( "ddg",
         [
